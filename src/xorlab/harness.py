@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield, asdict
 from pathlib import Path
@@ -49,8 +50,7 @@ from xorlab.wp import (
     labels,
     standard_messages,
     stats,
-    stats_distance,
-    stats_distance_by_label,
+    tables_distance_by_label,
     wp_iterate,
 )
 
@@ -443,11 +443,13 @@ def _wp_trial(args) -> dict:
         alpha_hat = msgs.frozen_fraction
         symdiff = None
     violations = fixed_point_violations(G, msgs)
-    by_label = stats_distance_by_label(G, msgs, alpha_hat, d, k)
-    dist_hat = sum(by_label.values()) / n
-    dist_theory = stats_distance(G, msgs, alpha_th, d, k) / n
     st = stats(G, msgs, k)
     m_weight_k = int(np.sum(G.check_degree == k))
+    by_label = tables_distance_by_label(st.delta, st.gamma, n, m_weight_k, alpha_hat, d, k)
+    dist_hat = sum(by_label.values()) / n
+    dist_theory = sum(
+        tables_distance_by_label(st.delta, st.gamma, n, m_weight_k, alpha_th, d, k).values()
+    ) / n
     rec = TrialRecord(
         trial=trial,
         seed_key=_key_str(0, trial),
@@ -479,25 +481,20 @@ def _aggregate_stats_distance(outputs, alpha: float, d: float, k: int, n: int) -
     differences removes the per-instance sampling noise and measures the
     systematic deviation from the predicted values.
     """
-    from xorlab.theory import predicted_detail_tables
-
     trials = len(outputs)
-    sum_delta: dict = {}
-    sum_gamma: dict = {}
+    sum_delta: Counter = Counter()
+    sum_gamma: Counter = Counter()
     m_mean = 0.0
     for _, dtab, gtab, m_wk in outputs:
-        for key, c in dtab.items():
-            sum_delta[key] = sum_delta.get(key, 0) + c
-        for key, c in gtab.items():
-            sum_gamma[key] = sum_gamma.get(key, 0) + c
+        sum_delta.update(dtab)
+        sum_gamma.update(gtab)
         m_mean += m_wk / trials
-    pred_var, pred_chk = predicted_detail_tables(d, k, alpha)
-    dist = 0.0
-    for key in set(sum_delta) | set(pred_var):
-        dist += abs(sum_delta.get(key, 0) / trials - n * pred_var.get(key, 0.0))
-    for key in set(sum_gamma) | set(pred_chk):
-        dist += abs(sum_gamma.get(key, 0) / trials - m_mean * pred_chk.get(key, 0.0))
-    return dist / n
+    dist = tables_distance_by_label(
+        {key: c / trials for key, c in sum_delta.items()},
+        {key: c / trials for key, c in sum_gamma.items()},
+        n, m_mean, alpha, d, k,
+    )
+    return sum(dist.values()) / n
 
 
 def exp_wp_stats(config: ExperimentConfig) -> ExperimentResult:

@@ -60,9 +60,6 @@ class TannerGraph:
     def check_edges(self, i: int) -> range:
         return range(int(self.row_ptr[i]), int(self.row_ptr[i + 1]))
 
-    def var_neighbors(self, j: int) -> np.ndarray:
-        return self.edge_check[self.edge_var == j]
-
     def edge_id(self, i: int, j: int) -> int:
         for e in self.check_edges(i):
             if self.edge_var[e] == j:
@@ -178,9 +175,11 @@ def wp_iterate(
         raise ValueError("max_iter must be >= 1")
     for it in range(1, max_iter + 1):
         new = wp_update(G, msgs)
-        if monotone:
-            assert not np.any(new.var_to_check & ~msgs.var_to_check)
-            assert not np.any(new.check_to_var & ~msgs.check_to_var)
+        if monotone and (
+            np.any(new.var_to_check & ~msgs.var_to_check)
+            or np.any(new.check_to_var & ~msgs.check_to_var)
+        ):
+            raise RuntimeError(f"WP from all-frozen grew a frozen set in round {it}")
         if new == msgs:
             return new, True, it
         msgs = new
@@ -303,14 +302,35 @@ def stats_distance_by_label(
     Unnormalized.
     """
     emp = stats(G, msgs, k)
-    pred_var, pred_chk = theory.predicted_detail_tables(d, k, alpha, cutoff)
-    n = G.n_vars
     m = int(np.sum(G.check_degree == k))
+    return tables_distance_by_label(
+        emp.delta, emp.gamma, G.n_vars, m, alpha, d, k, cutoff=cutoff
+    )
+
+
+def tables_distance_by_label(
+    delta: dict,
+    gamma: dict,
+    n: float,
+    m: float,
+    alpha: float,
+    d: float,
+    k: int,
+    *,
+    cutoff: float = 1e-12,
+) -> dict[str, float]:
+    """Per-label l1 distance of (label, profile) count tables from the prediction.
+
+    Sums |delta - n Delta_bar(alpha)| + |gamma - m Gamma_bar(alpha)|
+    over the union of table keys and predictions above the cutoff.  The
+    union is visited in sorted order, so the float sums do not depend
+    on the interpreter's string hash seed.
+    """
+    pred_var, pred_chk = theory.predicted_detail_tables(d, k, alpha, cutoff)
     dist = {theory.U: 0.0, theory.S: 0.0, theory.F: 0.0}
-    for key in set(emp.delta) | set(pred_var):
-        dist[key[0]] += abs(emp.delta.get(key, 0) - n * pred_var.get(key, 0.0))
-    for key in set(emp.gamma) | set(pred_chk):
-        dist[key[0]] += abs(emp.gamma.get(key, 0) - m * pred_chk.get(key, 0.0))
+    for emp, pred, size in ((delta, pred_var, n), (gamma, pred_chk, m)):
+        for key in sorted(emp.keys() | pred.keys()):
+            dist[key[0]] += abs(emp.get(key, 0) - size * pred.get(key, 0.0))
     return dist
 
 

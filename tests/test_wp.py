@@ -130,6 +130,17 @@ def test_iterate_monotone_and_converges():
     assert fixed_point_violations(G, msgs) == 0
 
 
+def test_iterate_raises_when_all_f_start_is_not_monotone(monkeypatch):
+    # a faulty update that unfreezes every message, then freezes them again
+    import xorlab.wp
+
+    G = TannerGraph(PINNED_TRIANGLE)
+    rounds = iter([all_u_messages(G), all_f_messages(G)])
+    monkeypatch.setattr(xorlab.wp, "wp_update", lambda G, msgs: next(rounds))
+    with pytest.raises(RuntimeError, match="grew a frozen set in round 2"):
+        wp_iterate(G, "all_f")
+
+
 def test_tree_exactness_standard_equals_iterate():
     # acyclic pinned instances: the standard messages are an exact fixed
     # point and the all-f iteration reproduces them message-for-message
