@@ -12,7 +12,9 @@ Subcommands mirror the experiments plus two utilities:
     audit-freeness  short-relation audit of pinned instances
     dump-matrix     generate one instance and dump it in text format
 
-Exit codes: 0 success, 2 config errors, 3 budget refusals, 4 I/O errors.
+Exit codes: 0 success, 2 config errors, 3 budget refusals, 4 I/O errors,
+5 threshold-scan bracket failures (the bracket does not straddle the
+full-rank crossing).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 from xorlab.ensemble import gen_base, gen_pinned
 from xorlab.harness import (
     EXPERIMENTS,
+    BracketError,
     ConfigError,
     ExperimentConfig,
     run,
@@ -118,6 +121,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except BracketError as exc:
+        print(f"bracket error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -215,11 +215,6 @@ class Field:
 
     # -- scalar operations ------------------------------------------------
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element of GF({self.q})")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p

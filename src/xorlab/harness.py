@@ -1,16 +1,20 @@
 """Seeded Monte Carlo experiment runner with CSV/JSON reporting.
 
-Each experiment consumes an :class:`ExperimentConfig`, fans independent
-trials out over worker processes, and returns per-trial records plus a
-summary table recomputed from those records (no hidden state).
+Every experiment runs through one grid x trials runner,
+:func:`run_grid`: it calls the experiment's ``measure(config, value,
+rng)`` for each trial at each grid value, fans the trials out over
+worker processes, and returns the per-trial records grouped by grid
+point index.  The experiment builds its summary table from those
+records alone (no hidden state), so a repeated grid value gives one
+summary row per grid entry.
 
 Reproducibility: the stream for trial ``t`` of grid point ``g`` is
 ``numpy.random.default_rng(SeedSequence(entropy=master_seed,
 spawn_key=(g, t)))``.  The worker count never changes results, only
 wall time; per-trial rows are emitted in trial order.  Trial runtimes
 are kept in memory but excluded from the CSV bodies so that identical
-(config, seed) runs produce byte-identical files; wall time goes to the
-run manifest instead.
+(config, seed) runs produce byte-identical files, whatever the string
+hash seed; wall time goes to the run manifest instead.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dfield, asdict
+from dataclasses import asdict, dataclass, field as dfield, fields as dfields
 from pathlib import Path
 
 import numpy as np
@@ -63,25 +67,11 @@ class BracketError(RuntimeError):
     """A scan's bracketing precondition failed."""
 
 
-EXPERIMENTS = (
-    "rank-profile",
-    "threshold-scan",
-    "wp-stats",
-    "balance",
-    "peel",
-    "interpolate",
-    "audit-freeness",
-)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     tol_fp: float = 0.1
     tol_stats: float = 0.1
     tol_balance: float = 0.05
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -114,15 +104,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.wp_mode not in ("exact", "iterate"):
             raise ConfigError(f"unknown wp_mode {self.wp_mode!r}")
-        for grid_name in ("d_grid", "theta_grid"):
+        for grid_name in ("d_grid", "n_grid", "theta_grid"):
             grid = getattr(self, grid_name)
-            if grid is not None:
-                if not grid or list(grid) != sorted(grid):
-                    raise ConfigError(f"{grid_name} must be nonempty and sorted")
-        if self.n_grid is not None and (
-            not self.n_grid or list(self.n_grid) != sorted(self.n_grid)
-        ):
-            raise ConfigError("n_grid must be nonempty and sorted")
+            if grid is not None and (not grid or list(grid) != sorted(grid)):
+                raise ConfigError(f"{grid_name} must be nonempty and sorted")
 
     def ensemble(self, *, n=None, m=None, d=None) -> EnsembleParams:
         n = self.n if n is None else n
@@ -136,59 +121,28 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "scheme": dict(self.scheme),
-            "trials": self.trials,
-            "seed": self.seed,
-            "workers": self.workers,
-            "wp_mode": self.wp_mode,
-            "tolerances": self.tolerances.to_dict(),
-            "bracket": list(self.bracket),
-            "resolution": self.resolution,
-            "kernel_samples": self.kernel_samples,
-            "pinned": self.pinned,
+        """JSON-ready field values; fields left at None are omitted."""
+        return {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
+            if value is not None
         }
-        if self.m is not None:
-            out["m"] = self.m
-        if self.d is not None:
-            out["d"] = self.d
-        for name in ("d_grid", "n_grid", "theta_grid", "out"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = list(v) if isinstance(v, (list, tuple)) else v
-        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("experiment config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in dfields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        kwargs = dict(raw)
         try:
-            tol = Tolerances(**raw.get("tolerances", {}))
-            return cls(
-                experiment=raw["experiment"],
-                n=raw.get("n", 1000),
-                k=raw.get("k", 3),
-                q=raw.get("q", 2),
-                m=raw.get("m"),
-                d=raw.get("d"),
-                scheme=raw.get("scheme", {"kind": "all_ones"}),
-                trials=raw.get("trials", 10),
-                seed=raw.get("seed", 0),
-                workers=raw.get("workers", 1),
-                wp_mode=raw.get("wp_mode", "iterate"),
-                tolerances=tol,
-                d_grid=raw.get("d_grid"),
-                n_grid=raw.get("n_grid"),
-                theta_grid=raw.get("theta_grid"),
-                bracket=tuple(raw.get("bracket", (0.85, 0.98))),
-                resolution=raw.get("resolution", 0.005),
-                kernel_samples=raw.get("kernel_samples", 100),
-                pinned=raw.get("pinned", True),
-                out=raw.get("out"),
-            )
-        except (KeyError, TypeError) as exc:
+            if "tolerances" in kwargs:
+                kwargs["tolerances"] = Tolerances(**kwargs["tolerances"])
+            if "bracket" in kwargs:
+                kwargs["bracket"] = tuple(kwargs["bracket"])
+            return cls(**kwargs)
+        except TypeError as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     @classmethod
@@ -249,16 +203,9 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _key_str(*key: int) -> str:
-    return "/".join(str(x) for x in key)
-
-
 @dataclass
 class SummaryTable:
     rows: list[dict]
-
-    def column(self, name):
-        return [r[name] for r in self.rows]
 
 
 @dataclass
@@ -280,86 +227,95 @@ def _mean(xs) -> float:
     return float(sum(xs) / len(xs)) if xs else float("nan")
 
 
+# -- the grid x trials runner ----------------------------------------------------
+
+
+def _trial(args):
+    config, measure, point, trial, value = args
+    rng = derive_rng(config.seed, point, trial)
+    t0 = time.perf_counter()
+    params, measured, *extra = measure(config, value, rng)
+    shared = {
+        "n": params.n,
+        "m": params.m_rows,
+        "t": 0,
+        "k": params.k,
+        "q": params.q,
+        "d": params.density,
+    }
+    record = TrialRecord(
+        trial=trial,
+        seed_key=f"{point}/{trial}",
+        **{**shared, **measured},
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    )
+    return (record.to_row(), *extra) if extra else record.to_row()
+
+
+def run_grid(config: ExperimentConfig, measure, values, first_point: int = 0) -> list[list]:
+    """``config.trials`` trials of ``measure`` at each value, one list per point.
+
+    Trial ``t`` at ``values[i]`` is point ``first_point + i`` and draws
+    from ``derive_rng(config.seed, first_point + i, t)``.
+    ``measure(config, value, rng)`` returns the :class:`EnsembleParams`
+    it sampled from, which give the shared record fields (n, m, t = 0,
+    k, q, d), and a dict of further :class:`TrialRecord` fields, which
+    may override them.  A third returned item travels next to the row:
+    the trial's output is then ``(row, item)`` instead of ``row``.
+    """
+    args = [
+        (config, measure, first_point + i, t, value)
+        for i, value in enumerate(values)
+        for t in range(config.trials)
+    ]
+    outputs = _parallel(_trial, args, config.workers)
+    return [outputs[i : i + config.trials] for i in range(0, len(outputs), config.trials)]
+
+
+def _flat(by_point: list[list]) -> list:
+    return [row for rows in by_point for row in rows]
+
+
 # -- rank profile ------------------------------------------------------------
 
 
-def _rank_trial(args) -> dict:
-    cfg_dict, point, trial, d = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_rank(config, d, rng):
     params = config.ensemble(d=d)
-    rng = derive_rng(config.seed, point, trial)
-    t0 = time.perf_counter()
-    A = gen_base(params, rng)
-    peel = two_core(A)
+    peel = two_core(gen_base(params, rng))
     rk = len(peel.removed_rows) + rank(peel.core.matrix)
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(point, trial),
-        n=params.n,
-        m=params.m_rows,
-        t=0,
-        k=params.k,
-        q=params.q,
-        d=params.density,
-        rank=rk,
-        nullity=params.n - rk,
-        full_row_rank=(rk == params.m_rows),
-        core_rows=peel.core_rows,
-        core_cols=peel.core_cols,
-        excess=peel.excess,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {
+        "rank": rk,
+        "nullity": params.n - rk,
+        "full_row_rank": rk == params.m_rows,
+        "core_rows": peel.core_rows,
+        "core_cols": peel.core_cols,
+        "excess": peel.excess,
+    }
 
 
 def exp_rank_profile(config: ExperimentConfig) -> ExperimentResult:
     """Full-row-rank fraction of the base ensemble on a density grid."""
     grid = config.d_grid if config.d_grid is not None else [config.ensemble().density]
-    args = [
-        (config.to_dict(), gi, t, d)
-        for gi, d in enumerate(grid)
-        for t in range(config.trials)
+    by_point = run_grid(config, _measure_rank, grid)
+    summary = [
+        {
+            "d": d,
+            "n": config.n,
+            "trials": len(rows),
+            "full_rank_frac": _mean(1.0 * r["full_row_rank"] for r in rows),
+            "mean_nullity": _mean(r["nullity"] for r in rows),
+        }
+        for d, rows in zip(grid, by_point)
     ]
-    trials = _parallel(_rank_trial, args, config.workers)
-    summary = []
-    for d in grid:
-        rows = [r for r in trials if math.isclose(r["d"], d)]
-        summary.append(
-            {
-                "d": d,
-                "n": config.n,
-                "trials": len(rows),
-                "full_rank_frac": _mean(1.0 * r["full_row_rank"] for r in rows),
-                "mean_nullity": _mean(r["nullity"] for r in rows),
-            }
-        )
-    return ExperimentResult("rank-profile", trials, SummaryTable(summary))
+    return ExperimentResult("rank-profile", _flat(by_point), SummaryTable(summary))
 
 
 # -- threshold scan ------------------------------------------------------------
 
 
-def _full_rank_trial(args) -> dict:
-    cfg_dict, point, trial, m = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_full_rank(config, m, rng):
     params = config.ensemble(m=m, d=None)
-    rng = derive_rng(config.seed, point, trial)
-    t0 = time.perf_counter()
-    A = gen_base(params, rng)
-    full = has_full_row_rank(A)
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(point, trial),
-        n=params.n,
-        m=m,
-        t=0,
-        k=params.k,
-        q=params.q,
-        d=params.density,
-        full_row_rank=full,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {"full_row_rank": has_full_row_rank(gen_base(params, rng))}
 
 
 def exp_threshold_scan(config: ExperimentConfig) -> ExperimentResult:
@@ -371,20 +327,16 @@ def exp_threshold_scan(config: ExperimentConfig) -> ExperimentResult:
     lo, hi = config.bracket
     trials_all: list[dict] = []
     summary: list[dict] = []
-    point = 0
 
     def frac_at(rho: float) -> float:
-        nonlocal point
         m = round(rho * config.n)
-        args = [(config.to_dict(), point, t, m) for t in range(config.trials)]
-        rows = _parallel(_full_rank_trial, args, config.workers)
+        [rows] = run_grid(config, _measure_full_rank, [m], first_point=len(summary))
         trials_all.extend(rows)
         frac = _mean(1.0 * r["full_row_rank"] for r in rows)
         summary.append(
             {"rho": rho, "m": m, "n": config.n, "trials": len(rows),
              "full_rank_frac": frac}
         )
-        point += 1
         return frac
 
     if frac_at(lo) <= 0.5:
@@ -421,12 +373,9 @@ def _alpha_theory(d: float, k: int) -> float:
     return fixed_points(d, k)[2] if d > threshold_dk_star(k) else 0.0
 
 
-def _wp_trial(args) -> dict:
-    cfg_dict, trial, alpha_th = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_wp(config, alpha_th, rng):
+    """One WP trial; its (delta, gamma, weight-k checks) tables travel with the row."""
     params = config.ensemble()
-    rng = derive_rng(config.seed, 0, trial)
-    t0 = time.perf_counter()
     A, t_pins = gen_pinned(params, rng)
     G = TannerGraph(A)
     d, k, n = params.density, params.k, params.n
@@ -446,46 +395,36 @@ def _wp_trial(args) -> dict:
     st = stats(G, msgs, k)
     m_weight_k = int(np.sum(G.check_degree == k))
     by_label = tables_distance_by_label(st.delta, st.gamma, n, m_weight_k, alpha_hat, d, k)
-    dist_hat = sum(by_label.values()) / n
     dist_theory = sum(
         tables_distance_by_label(st.delta, st.gamma, n, m_weight_k, alpha_th, d, k).values()
     ) / n
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(0, trial),
-        n=n,
-        m=params.m_rows,
-        t=t_pins,
-        k=k,
-        q=params.q,
-        d=d,
-        alpha_hat=alpha_hat,
-        wp_iterations=iters,
-        violations=violations,
-        stats_dist_alpha_hat=dist_hat,
-        stats_dist_u=by_label["u"] / n,
-        stats_dist_s=by_label["s"] / n,
-        stats_dist_f=by_label["f"] / n,
-        stats_dist_alpha_theory=dist_theory,
-        alpha_theory=alpha_th,
-        label_frozen_symdiff=symdiff,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row(), dict(st.delta), dict(st.gamma), m_weight_k
+    return params, {
+        "t": t_pins,
+        "alpha_hat": alpha_hat,
+        "wp_iterations": iters,
+        "violations": violations,
+        "stats_dist_alpha_hat": sum(by_label.values()) / n,
+        "stats_dist_u": by_label["u"] / n,
+        "stats_dist_s": by_label["s"] / n,
+        "stats_dist_f": by_label["f"] / n,
+        "stats_dist_alpha_theory": dist_theory,
+        "alpha_theory": alpha_th,
+        "label_frozen_symdiff": symdiff,
+    }, (st.delta, st.gamma, m_weight_k)
 
 
-def _aggregate_stats_distance(outputs, alpha: float, d: float, k: int, n: int) -> float:
+def _aggregate_stats_distance(tables, alpha: float, d: float, k: int, n: int) -> float:
     """Distance of the trial-averaged tables from the alpha prediction.
 
     Averaging the empirical counts across trials before taking absolute
     differences removes the per-instance sampling noise and measures the
     systematic deviation from the predicted values.
     """
-    trials = len(outputs)
+    trials = len(tables)
     sum_delta: Counter = Counter()
     sum_gamma: Counter = Counter()
     m_mean = 0.0
-    for _, dtab, gtab, m_wk in outputs:
+    for dtab, gtab, m_wk in tables:
         sum_delta.update(dtab)
         sum_gamma.update(gtab)
         m_mean += m_wk / trials
@@ -506,9 +445,8 @@ def exp_wp_stats(config: ExperimentConfig) -> ExperimentResult:
     """
     d = config.ensemble().density
     alpha_th = _alpha_theory(d, config.k)
-    args = [(config.to_dict(), t, alpha_th) for t in range(config.trials)]
-    outputs = _parallel(_wp_trial, args, config.workers)
-    trials = [row for row, _, _, _ in outputs]
+    [outputs] = run_grid(config, _measure_wp, [alpha_th])
+    trials = [row for row, _ in outputs]
     summary = [
         {
             "n": config.n,
@@ -523,7 +461,7 @@ def exp_wp_stats(config: ExperimentConfig) -> ExperimentResult:
                 r["stats_dist_alpha_theory"] for r in trials
             ),
             "agg_dist_alpha_theory": _aggregate_stats_distance(
-                outputs, alpha_th, d, config.k, config.n
+                [tables for _, tables in outputs], alpha_th, d, config.k, config.n
             ),
             "mean_symdiff_per_n": (
                 _mean(r["label_frozen_symdiff"] / r["n"] for r in trials)
@@ -538,12 +476,8 @@ def exp_wp_stats(config: ExperimentConfig) -> ExperimentResult:
 # -- kernel balance ---------------------------------------------------------------
 
 
-def _balance_trial(args) -> dict:
-    cfg_dict, trial = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_balance(config, _, rng):
     params = config.ensemble()
-    rng = derive_rng(config.seed, 0, trial)
-    t0 = time.perf_counter()
     A, t_pins = gen_pinned(params, rng)
     kb = kernel_basis(A)
     n, q = params.n, params.q
@@ -564,24 +498,15 @@ def _balance_trial(args) -> dict:
             counts = np.bincount(sigma[sel], minlength=q)
             imb += sum(abs(counts[s] - sel.sum() / q) for s in range(1, q))
         imbalances.append(imb / n)
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(0, trial),
-        n=n,
-        m=params.m_rows,
-        t=t_pins,
-        k=params.k,
-        q=q,
-        d=params.density,
-        nullity=kb.dimension,
-        rank=n - kb.dimension,
-        alpha_hat=float(alpha_hat),
-        balance_l2=_mean(l2s),
-        balance_l1=_mean(l1s),
-        degree_imbalance=_mean(imbalances),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {
+        "t": t_pins,
+        "nullity": kb.dimension,
+        "rank": n - kb.dimension,
+        "alpha_hat": float(alpha_hat),
+        "balance_l2": _mean(l2s),
+        "balance_l1": _mean(l1s),
+        "degree_imbalance": _mean(imbalances),
+    }
 
 
 def exp_balance(config: ExperimentConfig) -> ExperimentResult:
@@ -591,8 +516,7 @@ def exp_balance(config: ExperimentConfig) -> ExperimentResult:
     coordinates (the kernel support) rather than label-derived ones,
     which is what the kernel basis gives directly at this scale.
     """
-    args = [(config.to_dict(), t) for t in range(config.trials)]
-    trials = _parallel(_balance_trial, args, config.workers)
+    [trials] = run_grid(config, _measure_balance, [None])
     summary = [
         {
             "n": config.n,
@@ -612,97 +536,66 @@ def exp_balance(config: ExperimentConfig) -> ExperimentResult:
 # -- peeling ------------------------------------------------------------------
 
 
-def _peel_trial(args) -> dict:
-    cfg_dict, point, trial, d = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_peel(config, d, rng):
     params = config.ensemble(d=d)
-    rng = derive_rng(config.seed, point, trial)
-    t0 = time.perf_counter()
     A = gen_base(params, rng)
     res = two_core(A)
     rk = None
     if params.n <= 500:
         rk = rank(A)  # exact cross-check of the excess witness at small n
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(point, trial),
-        n=params.n,
-        m=params.m_rows,
-        t=0,
-        k=params.k,
-        q=params.q,
-        d=d,
-        rank=rk,
-        nullity=None if rk is None else params.n - rk,
-        core_rows=res.core_rows,
-        core_cols=res.core_cols,
-        excess=res.excess,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {
+        "d": d,  # the grid value as given, also at d = 0
+        "rank": rk,
+        "nullity": None if rk is None else params.n - rk,
+        "core_rows": res.core_rows,
+        "core_cols": res.core_cols,
+        "excess": res.excess,
+    }
 
 
 def exp_peel(config: ExperimentConfig) -> ExperimentResult:
     """Empty-core fraction and core excess across a density grid."""
     grid = config.d_grid if config.d_grid is not None else [config.ensemble().density]
-    args = [
-        (config.to_dict(), gi, t, d)
-        for gi, d in enumerate(grid)
-        for t in range(config.trials)
-    ]
-    trials = _parallel(_peel_trial, args, config.workers)
+    by_point = run_grid(config, _measure_peel, grid)
     dk = threshold_dk(config.k)
     dks = threshold_dk_star(config.k)
-    summary = []
-    for d in grid:
-        rows = [r for r in trials if math.isclose(r["d"], d)]
-        summary.append(
-            {
-                "d": d,
-                "n": config.n,
-                "trials": len(rows),
-                "empty_core_frac": _mean(
-                    1.0 * (r["core_rows"] == 0 and r["core_cols"] == 0) for r in rows
-                ),
-                "pos_excess_frac": _mean(1.0 * (r["excess"] > 0) for r in rows),
-                "mean_excess_over_n": _mean(r["excess"] / r["n"] for r in rows),
-                "d_k": dk,
-                "d_k_star": dks,
-            }
-        )
-    return ExperimentResult("peel", trials, SummaryTable(summary))
+    summary = [
+        {
+            "d": d,
+            "n": config.n,
+            "trials": len(rows),
+            "empty_core_frac": _mean(
+                1.0 * (r["core_rows"] == 0 and r["core_cols"] == 0) for r in rows
+            ),
+            "pos_excess_frac": _mean(1.0 * (r["excess"] > 0) for r in rows),
+            "mean_excess_over_n": _mean(r["excess"] / r["n"] for r in rows),
+            "d_k": dk,
+            "d_k_star": dks,
+        }
+        for d, rows in zip(grid, by_point)
+    ]
+    return ExperimentResult("peel", _flat(by_point), SummaryTable(summary))
 
 
 # -- interpolation ---------------------------------------------------------------
 
 
-def _interp_trial(args) -> dict:
-    cfg_dict, point, trial, theta, alpha_f = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_interp(config, theta_alpha_f, rng):
+    theta, alpha_f = theta_alpha_f
     params = config.ensemble()
-    rng = derive_rng(config.seed, point, trial)
-    t0 = time.perf_counter()
     if theta is None:  # baseline: the pinned ensemble itself
         A, t_pins = gen_pinned(params, rng)
     else:
         A = gen_interpolated(params, theta, alpha_f, rng)
         t_pins = None
     rk = rank_via_core(A)
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(point, trial),
-        n=params.n,
-        m=A.n_rows,
-        t=t_pins,
-        k=params.k,
-        q=params.q,
-        d=params.density,
-        rank=rk,
-        nullity=params.n - rk,
-        theta=theta,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {
+        "m": A.n_rows,
+        "t": t_pins,
+        "rank": rk,
+        "nullity": params.n - rk,
+        "theta": theta,
+    }
 
 
 def exp_interpolation(config: ExperimentConfig) -> ExperimentResult:
@@ -714,19 +607,14 @@ def exp_interpolation(config: ExperimentConfig) -> ExperimentResult:
             "interpolation needs d above the critical density so alpha_f > 0"
         )
     thetas = config.theta_grid if config.theta_grid is not None else [0.0, 0.5, 1.0]
-    args = []
-    for gi, theta in enumerate(thetas):
-        for t in range(config.trials):
-            args.append((config.to_dict(), gi, t, theta, alpha_f))
-    for t in range(config.trials):  # baseline pinned ensemble
-        args.append((config.to_dict(), len(thetas), t, None, alpha_f))
-    trials = _parallel(_interp_trial, args, config.workers)
+    # the last point is the baseline pinned ensemble
+    by_point = run_grid(
+        config, _measure_interp, [(theta, alpha_f) for theta in [*thetas, None]]
+    )
     dk = threshold_dk(k)
-    base_rows = [r for r in trials if r["theta"] is None]
-    base_nullity = _mean(r["nullity"] / r["n"] for r in base_rows)
+    base_nullity = _mean(r["nullity"] / r["n"] for r in by_point[-1])
     summary = []
-    for theta in thetas:
-        rows = [r for r in trials if r["theta"] == theta]
+    for theta, rows in zip(thetas, by_point):
         entry = {
             "theta": theta,
             "n": config.n,
@@ -741,56 +629,32 @@ def exp_interpolation(config: ExperimentConfig) -> ExperimentResult:
         if d > dk:
             entry["phi_lower_bound"] = Phi(d, k, alpha_f)
         summary.append(entry)
-    return ExperimentResult("interpolate", trials, SummaryTable(summary))
+    return ExperimentResult("interpolate", _flat(by_point), SummaryTable(summary))
 
 
 # -- freeness audit ---------------------------------------------------------------
 
 
-def _freeness_trial(args) -> dict:
-    cfg_dict, point, trial, n = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+def _measure_freeness(config, n, rng):
     params = config.ensemble(n=n)
-    rng = derive_rng(config.seed, point, trial)
-    t0 = time.perf_counter()
     A, t_pins = gen_pinned(params, rng)
-    audit = freeness_audit(A, 0.1, 3)
-    rec = TrialRecord(
-        trial=trial,
-        seed_key=_key_str(point, trial),
-        n=n,
-        m=params.m_rows,
-        t=t_pins,
-        k=params.k,
-        q=params.q,
-        d=params.density,
-        freeness_pass=audit.is_free,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return rec.to_row()
+    return params, {"t": t_pins, "freeness_pass": freeness_audit(A, 0.1, 3).is_free}
 
 
 def exp_freeness_audit(config: ExperimentConfig) -> ExperimentResult:
     """Fraction of pinned instances passing the (0.1, 3)-freeness audit."""
     grid = config.n_grid if config.n_grid is not None else [50, 100, 200]
-    args = [
-        (config.to_dict(), gi, t, n)
-        for gi, n in enumerate(grid)
-        for t in range(config.trials)
+    by_point = run_grid(config, _measure_freeness, grid)
+    summary = [
+        {
+            "n": n,
+            "d": config.ensemble().density,
+            "trials": len(rows),
+            "pass_frac": _mean(1.0 * r["freeness_pass"] for r in rows),
+        }
+        for n, rows in zip(grid, by_point)
     ]
-    trials = _parallel(_freeness_trial, args, config.workers)
-    summary = []
-    for n in grid:
-        rows = [r for r in trials if r["n"] == n]
-        summary.append(
-            {
-                "n": n,
-                "d": config.ensemble().density,
-                "trials": len(rows),
-                "pass_frac": _mean(1.0 * r["freeness_pass"] for r in rows),
-            }
-        )
-    return ExperimentResult("audit-freeness", trials, SummaryTable(summary))
+    return ExperimentResult("audit-freeness", _flat(by_point), SummaryTable(summary))
 
 
 # -- dispatch and reporting ---------------------------------------------------
@@ -805,6 +669,9 @@ _DISPATCH = {
     "interpolate": exp_interpolation,
     "audit-freeness": exp_freeness_audit,
 }
+
+
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

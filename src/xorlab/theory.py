@@ -438,24 +438,6 @@ def predicted_detail_tables(d: float, k: int, alpha: float, cutoff: float = 1e-1
     return dvar, dchk
 
 
-@dataclass(frozen=True)
-class PredictedStats:
-    """Lazy view of the predicted statistics at one (d, k, alpha)."""
-
-    d: float
-    k: int
-    alpha: float
-
-    def node_fractions(self):
-        return predicted_node_stats(self.d, self.k, self.alpha)
-
-    def detail(self, z: str, ell) -> tuple[float, float]:
-        return predicted_detail(self.d, self.k, self.alpha, z, ell)
-
-    def tables(self, cutoff: float = 1e-12):
-        return predicted_detail_tables(self.d, self.k, self.alpha, cutoff)
-
-
 # -- check polynomial -------------------------------------------------------
 
 

@@ -63,6 +63,8 @@ def test_config_validation():
         small_config(wp_mode="bogus")
     with pytest.raises(ConfigError):
         small_config(d_grid=[2.0, 1.0])
+    with pytest.raises(ConfigError, match="trails"):
+        ExperimentConfig.from_dict({"experiment": "peel", "trails": 3})
 
 
 def test_config_missing_file(tmp_path):
@@ -209,6 +211,22 @@ def test_freeness_smoke():
     assert [r["n"] for r in res.summary.rows] == [30, 50]
 
 
+@pytest.mark.parametrize(
+    "experiment, grid",
+    [
+        ("rank-profile", {"d_grid": [2.0, 2.0]}),
+        ("peel", {"d_grid": [2.0, 2.0]}),
+        ("interpolate", {"d": 3.0, "theta_grid": [0.5, 0.5]}),
+        ("audit-freeness", {"n_grid": [30, 30]}),
+    ],
+)
+def test_duplicate_grid_points_get_one_row_each(experiment, grid):
+    res = run_experiment(small_config(experiment=experiment, trials=2, **grid))
+    assert [row["trials"] for row in res.summary.rows] == [2, 2]
+    seed_keys = [trial["seed_key"] for trial in res.trials]
+    assert len(set(seed_keys)) == len(seed_keys)
+
+
 def test_workers_do_not_change_results():
     cfg1 = small_config(d_grid=[2.0], trials=6, workers=1)
     cfg2 = small_config(d_grid=[2.0], trials=6, workers=2)
@@ -284,6 +302,25 @@ def test_cli_experiment_and_outputs(tmp_path):
 def test_cli_missing_config_exit_2(tmp_path, capsys):
     code = cli_main(["peel", "--config", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, trails=3)
+    code = cli_main(["rank-profile", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "trails" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_bracket_failure_exit_5(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, experiment="threshold-scan", n=200, trials=4, bracket=[1.2, 1.4]
+    )
+    code = cli_main(["threshold-scan", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("bracket error:") and err.count("\n") == 1
 
 
 def test_cli_io_error_exit_4(tmp_path):
