@@ -148,3 +148,77 @@ def random_acyclic_pinned(field, n, k, m, n_pins, rng, max_attempts=500):
             rows.append([(int(rng.integers(0, n)), 1)])
         return SparseMatrix.from_rows(field, n, rows)
     raise RuntimeError("no acyclic instance found; lower m")
+
+
+# -- scalar ensemble generators ---------------------------------------------------
+#
+# The generators as first written: one Floyd draw per call and one Philox
+# generator per seeded entry.  ``xorlab.ensemble`` must give the same
+# matrices for every (params, rng state).
+
+
+def philox_coefficient(seed: int, q: int, row: int, col: int) -> int:
+    """The seeded_nonzero entry at (row, col): numpy's own Philox4x64-10."""
+    bitgen = np.random.Philox(key=seed, counter=[0, 0, row, col])
+    return int(np.random.Generator(bitgen).integers(1, q))
+
+
+def floyd_ksubset(n: int, k: int, rng) -> list[int]:
+    """Uniform k-subset of range(n); exactly k scalar draws from rng."""
+    chosen: set[int] = set()
+    for t in range(n - k, n):
+        x = int(rng.integers(0, t + 1))
+        chosen.add(t if x in chosen else x)
+    return sorted(chosen)
+
+
+def _reference_coefficient(params, field, row, col):
+    if params.scheme.kind == "seeded_nonzero":
+        return philox_coefficient(params.scheme.seed, field.q, row, col)
+    return params.scheme.coefficient(field, row, col)
+
+
+def _reference_weight_k_rows(params, field, m, rng):
+    rows = []
+    for i in range(m):
+        support = floyd_ksubset(params.n, params.k, rng)
+        rows.append([(j, _reference_coefficient(params, field, i, j)) for j in support])
+    return rows
+
+
+def reference_gen_base(params, rng):
+    from xorlab.sparsemat import SparseMatrix
+
+    f = params.field
+    return SparseMatrix.from_rows(
+        f, params.n, _reference_weight_k_rows(params, f, params.m_rows, rng)
+    )
+
+
+def reference_pin(A, t, rng):
+    from xorlab.sparsemat import SparseMatrix
+
+    extra = [[(int(rng.integers(0, A.n_cols)), 1)] for _ in range(t)]
+    return SparseMatrix.from_rows(A.field, A.n_cols, list(A.rows) + extra)
+
+
+def reference_gen_pinned(params, rng):
+    from xorlab.ensemble import pin_count_bound
+
+    t = int(rng.integers(1, pin_count_bound(params.n) + 1))
+    return reference_pin(reference_gen_base(params, rng), t, rng), t
+
+
+def reference_gen_interpolated(params, theta, alpha_f, rng):
+    from xorlab.ensemble import pin_count_bound
+    from xorlab.sparsemat import SparseMatrix
+
+    f = params.field
+    d, n, k = params.density, params.n, params.k
+    m_theta = int(rng.poisson((1.0 - theta) * d * n / k))
+    rows = _reference_weight_k_rows(params, f, m_theta, rng)
+    m_unary = int(rng.poisson(d * theta * alpha_f ** (k - 1) * n))
+    rows += [[(int(rng.integers(0, n)), 1)] for _ in range(m_unary)]
+    A = SparseMatrix.from_rows(f, n, rows)
+    t = int(rng.integers(1, pin_count_bound(n) + 1))
+    return reference_pin(A, t, rng)

@@ -21,6 +21,8 @@ from xorlab.field import build_field
 from xorlab.sparsemat import SparseMatrix, frozen_set, rank
 from xorlab.theory import fixed_points
 
+from tests import oracles
+
 
 def params(**kw):
     base = dict(n=30, k=3, q=2, d=2.0, seed=42)
@@ -208,3 +210,34 @@ def test_params_json_roundtrip():
         assert EnsembleParams.from_json(p.to_json()) == p
     p2 = EnsembleParams(n=50, k=4, q=9, m=17, seed=99)
     assert EnsembleParams.from_json(p2.to_json()) == p2
+
+
+def _random_params(rng) -> EnsembleParams:
+    q = int(rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 27, 31, 32]))
+    k = int(rng.integers(3, 7))
+    n = int(rng.integers(k, 80))
+    kind = rng.integers(3)
+    if kind == 0:
+        scheme = AllOnes()
+    elif kind == 1:
+        scheme = SeededNonzero(int(rng.integers(0, 2**63)) << int(rng.integers(0, 65)))
+    else:
+        scheme = ExplicitTable(rng.integers(1, q, size=(4 * n, n)).tolist())
+    return EnsembleParams(n=n, k=k, q=q, d=float(rng.uniform(0.5, 3.5)),
+                          scheme=scheme, seed=int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("generator", ["gen_base", "gen_pinned", "gen_interpolated"])
+def test_generators_match_scalar_oracle(generator):
+    draw = np.random.default_rng(["gen_base", "gen_pinned", "gen_interpolated"].index(generator))
+    for _ in range(60):
+        p = _random_params(draw)
+        if generator == "gen_base":
+            got, want = gen_base(p, p.make_rng()), oracles.reference_gen_base(p, p.make_rng())
+        elif generator == "gen_pinned":
+            got, want = gen_pinned(p, p.make_rng()), oracles.reference_gen_pinned(p, p.make_rng())
+        else:
+            theta, alpha_f = float(draw.uniform()), float(draw.uniform())
+            got = gen_interpolated(p, theta, alpha_f, p.make_rng())
+            want = oracles.reference_gen_interpolated(p, theta, alpha_f, p.make_rng())
+        assert got == want, p
