@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from xorlab.ensemble import gen_base, gen_pinned
@@ -60,17 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, experiment: str) -> ExperimentConfig:
+def _load_config(args, experiment: str | None = None) -> ExperimentConfig:
+    """The config file with the command-line overrides, validated again."""
     config = ExperimentConfig.from_json_file(args.config)
-    if config.experiment != experiment:
-        config.experiment = experiment
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if args.workers is not None:
-        config.workers = args.workers
-    return config
+    overrides = {"experiment": experiment, "seed": args.seed, "out": args.out,
+                 "workers": args.workers}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_threshold(args) -> int:
@@ -87,9 +83,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_dump_matrix(args) -> int:
-    config = ExperimentConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _load_config(args)
     params = config.ensemble()
     rng = params.make_rng()
     A = gen_pinned(params, rng)[0] if config.pinned else gen_base(params, rng)

@@ -13,6 +13,16 @@ Reproducibility contract: every generator is a pure function of
 rejection-free algorithm, consuming exactly k integer draws per row;
 the draw order within each generator is documented in its docstring, so
 identical (params, seed) produce bit-identical matrices.
+
+The generators work on whole arrays.  The supports of all m rows come
+from one ``rng.integers`` call with an array of upper bounds, which
+consumes the stream exactly like m k scalar calls in row order; Floyd's
+draws do not depend on earlier outcomes, so its collisions are resolved
+afterwards, one column at a time.  Seeded coefficients come from a
+numpy implementation of Philox4x64-10 and of ``Generator.integers``'
+bounded map (Lemire's method) that matches numpy's own bit generator
+entry for entry; the rare entries that the bounded map would reject
+and redraw go to the scalar ``SeededNonzero.coefficient``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,19 @@ import numpy as np
 from xorlab.field import Field, build_field
 from xorlab.sparsemat import SparseMatrix
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC 2011)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _scalar_coefficients(scheme, field: Field, rows, cols) -> np.ndarray:
+    """``scheme.coefficient`` at every broadcast (row, col) pair."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    out = [scheme.coefficient(field, int(r), int(c)) for r, c in zip(rows.flat, cols.flat)]
+    return np.array(out, dtype=np.int64).reshape(rows.shape)
+
 
 class AllOnes:
     """Every nonzero entry is the field's 1 (XORSAT when q = 2)."""
@@ -34,6 +57,9 @@ class AllOnes:
 
     def coefficient(self, field: Field, row: int, col: int) -> int:
         return 1
+
+    def coefficients(self, field: Field, rows, cols) -> np.ndarray:
+        return np.ones(np.broadcast_shapes(np.shape(rows), np.shape(cols)), dtype=np.int64)
 
     def to_dict(self):
         return {"kind": self.kind}
@@ -58,10 +84,38 @@ class SeededNonzero:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"seeded_nonzero seed must lie in [0, 2^128), got {seed}")
 
     def coefficient(self, field: Field, row: int, col: int) -> int:
         bitgen = np.random.Philox(key=self.seed, counter=[0, 0, row, col])
         return int(np.random.Generator(bitgen).integers(1, field.q))
+
+    def coefficients(self, field: Field, rows, cols) -> np.ndarray:
+        """``coefficient`` at every broadcast (row, col) pair, in array passes.
+
+        Philox increments its counter before the first block, so the entry
+        is numpy's first draw from block [1, 0, row, col].
+        ``Generator.integers(1, q)`` maps the low 32 bits x of the block's
+        first word to 1 + (x (q - 1) >> 32) and redraws when the low half
+        of the product falls below (2^32 - (q - 1)) mod (q - 1); those
+        entries take the scalar path.
+        """
+        rows, cols = np.broadcast_arrays(
+            np.asarray(rows, dtype=np.uint64), np.asarray(cols, dtype=np.uint64)
+        )
+        q = field.q
+        if q == 2:  # a one-element range draws nothing
+            return np.ones(rows.shape, dtype=np.int64)
+        if q - 1 > _MASK32:  # numpy bounds such ranges with 64-bit words
+            return _scalar_coefficients(self, field, rows, cols)
+        word = _philox4x64_first_word(self.seed, rows, cols)
+        product = (word & _MASK32) * np.uint64(q - 1)
+        out = (product >> 32).astype(np.int64) + 1
+        rejected = np.flatnonzero((product & _MASK32) < (_MASK32 + 1 - (q - 1)) % (q - 1))
+        for i in rejected:
+            out.flat[i] = self.coefficient(field, int(rows.flat[i]), int(cols.flat[i]))
+        return out
 
     def to_dict(self):
         return {"kind": self.kind, "seed": self.seed}
@@ -98,6 +152,9 @@ class ExplicitTable:
             raise ValueError(f"{v} is not a nonzero element of GF({field.q})")
         return v
 
+    def coefficients(self, field: Field, rows, cols) -> np.ndarray:
+        return _scalar_coefficients(self, field, rows, cols)
+
     def to_dict(self):
         return {"kind": self.kind, "rows": [list(r) for r in self.rows]}
 
@@ -109,13 +166,17 @@ class ExplicitTable:
 
 
 def scheme_from_dict(d) -> AllOnes | SeededNonzero | ExplicitTable:
-    kind = d["kind"]
-    if kind == AllOnes.kind:
-        return AllOnes()
-    if kind == SeededNonzero.kind:
-        return SeededNonzero(d["seed"])
-    if kind == ExplicitTable.kind:
-        return ExplicitTable(d["rows"])
+    """The scheme a ``to_dict`` output describes; ValueError on a bad one."""
+    try:
+        kind = d["kind"]
+        if kind == AllOnes.kind:
+            return AllOnes()
+        if kind == SeededNonzero.kind:
+            return SeededNonzero(d["seed"])
+        if kind == ExplicitTable.kind:
+            return ExplicitTable(d["rows"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad coefficient scheme {d!r}") from exc
     raise ValueError(f"unknown coefficient scheme {kind!r}")
 
 
@@ -195,13 +256,50 @@ class EnsembleParams:
         return cls.from_dict(json.loads(text))
 
 
-def _floyd_ksubset(n: int, k: int, rng: np.random.Generator) -> list[int]:
-    """Uniform k-subset of range(n); exactly k draws from rng."""
-    chosen: set[int] = set()
-    for t in range(n - k, n):
-        x = int(rng.integers(0, t + 1))
-        chosen.add(t if x in chosen else x)
-    return sorted(chosen)
+def _mulhilo64(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * b, the high word from 32-bit limbs."""
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    carry = ((lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)) >> 32
+    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, np.uint64(a) * b
+
+
+def _philox4x64_first_word(key: int, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """First output word of Philox4x64-10 on counters [1, 0, c2, c3] (uint64 arrays)."""
+    k0, k1 = key & _MASK64, key >> 64
+    c0 = np.ones(c2.shape, dtype=np.uint64)
+    c1 = np.zeros(c2.shape, dtype=np.uint64)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo64(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo64(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    return c0
+
+
+def _supports(n: int, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m uniform k-subsets of range(n) as sorted (m, k) rows; exactly m k draws.
+
+    Floyd's algorithm: column c draws x uniform in [0, t], t = n - k + c,
+    and takes t instead when x is already in the row.  All draws come
+    from one call, in the order of m k scalar calls.
+    """
+    t = np.arange(n - k, n, dtype=np.int64)
+    out = rng.integers(0, np.broadcast_to(t + 1, (m, k)))
+    for c in range(1, k):
+        hit = (out[:, :c] == out[:, c : c + 1]).any(axis=1)
+        out[hit, c] = t[c]
+    out.sort(axis=1)
+    return out
+
+
+def _weight_k_rows(params: EnsembleParams, m: int, rng: np.random.Generator) -> list:
+    """Rows 0..m-1 of weight k: Floyd supports with the scheme's coefficients."""
+    cols = _supports(params.n, params.k, m, rng)
+    rows = np.broadcast_to(np.arange(m)[:, None], cols.shape)
+    values = params.scheme.coefficients(params.field, rows, cols)
+    return [list(zip(c, v)) for c, v in zip(cols.tolist(), values.tolist())]
 
 
 def gen_base(params: EnsembleParams, rng: np.random.Generator) -> SparseMatrix:
@@ -210,21 +308,16 @@ def gen_base(params: EnsembleParams, rng: np.random.Generator) -> SparseMatrix:
     Draw order: row 0's support (k draws), row 1's support, ...
     Coefficients come from the scheme, not from ``rng``.
     """
-    f = params.field
-    rows = []
-    for i in range(params.m_rows):
-        support = _floyd_ksubset(params.n, params.k, rng)
-        rows.append(
-            [(j, params.scheme.coefficient(f, i, j)) for j in support]
-        )
-    return SparseMatrix.from_rows(f, params.n, rows)
+    return SparseMatrix.from_rows(
+        params.field, params.n, _weight_k_rows(params, params.m_rows, rng)
+    )
 
 
 def pin(A: SparseMatrix, t: int, rng: np.random.Generator) -> SparseMatrix:
     """Append t unary rows, each a single 1 in an independent uniform column."""
     if t < 0:
         raise ValueError("pin count must be >= 0")
-    extra = [[(int(rng.integers(0, A.n_cols)), 1)] for _ in range(t)]
+    extra = [[(c, 1)] for c in rng.integers(0, A.n_cols, size=t).tolist()]
     return SparseMatrix.from_rows(A.field, A.n_cols, list(A.rows) + extra)
 
 
@@ -264,17 +357,12 @@ def gen_interpolated(
         raise ValueError("theta must lie in [0, 1]")
     if not 0.0 <= alpha_f <= 1.0:
         raise ValueError("alpha_f must lie in [0, 1]")
-    f = params.field
     d, n, k = params.density, params.n, params.k
     m_theta = int(rng.poisson((1.0 - theta) * d * n / k))
-    rows = []
-    for i in range(m_theta):
-        support = _floyd_ksubset(n, k, rng)
-        rows.append([(j, params.scheme.coefficient(f, i, j)) for j in support])
+    rows = _weight_k_rows(params, m_theta, rng)
     m_unary = int(rng.poisson(d * theta * alpha_f ** (k - 1) * n))
-    for _ in range(m_unary):
-        rows.append([(int(rng.integers(0, n)), 1)])
-    A = SparseMatrix.from_rows(f, n, rows)
+    rows += [[(c, 1)] for c in rng.integers(0, n, size=m_unary).tolist()]
+    A = SparseMatrix.from_rows(params.field, n, rows)
     T = pin_count_bound(n)
     t = int(rng.integers(1, T + 1))
     return pin(A, t, rng)

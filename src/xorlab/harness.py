@@ -108,6 +108,21 @@ class ExperimentConfig:
             grid = getattr(self, grid_name)
             if grid is not None and (not grid or list(grid) != sorted(grid)):
                 raise ConfigError(f"{grid_name} must be nonempty and sorted")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        for point in self._ensemble_points():
+            self.ensemble(**point)
+
+    def _ensemble_points(self) -> list[dict]:
+        """``ensemble`` overrides covering the grid: every d_grid point, or a scan's
+        bracket ends (its bisection points lie between them)."""
+        if self.experiment == "threshold-scan":
+            return [{"m": round(rho * self.n), "d": None} for rho in self.bracket]
+        if self.experiment in ("rank-profile", "peel") and self.d_grid is not None:
+            return [{"d": d} for d in self.d_grid]
+        return [{}]
 
     def ensemble(self, *, n=None, m=None, d=None) -> EnsembleParams:
         n = self.n if n is None else n
@@ -115,10 +130,13 @@ class ExperimentConfig:
             m, d = self.m, self.d
         if d is not None and d == 0:
             m, d = 0, None  # density zero means the empty matrix
-        return EnsembleParams(
-            n=n, k=self.k, q=self.q, m=m, d=d,
-            scheme=scheme_from_dict(self.scheme), seed=self.seed,
-        )
+        try:
+            return EnsembleParams(
+                n=n, k=self.k, q=self.q, m=m, d=d,
+                scheme=scheme_from_dict(self.scheme), seed=self.seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         """JSON-ready field values; fields left at None are omitted."""

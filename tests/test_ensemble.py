@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from xorlab import ensemble
 from xorlab.ensemble import (
     AllOnes,
     EnsembleParams,
@@ -241,3 +242,40 @@ def test_generators_match_scalar_oracle(generator):
             got = gen_interpolated(p, theta, alpha_f, p.make_rng())
             want = oracles.reference_gen_interpolated(p, theta, alpha_f, p.make_rng())
         assert got == want, p
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+def test_seeded_coefficients_match_numpy_philox(key):
+    draw = np.random.default_rng(key % 997)
+    # numpy's Philox clamps counter words given as ints at 2^63
+    rows, cols = (
+        np.concatenate([draw.integers(0, 5000, 60), draw.integers(0, 2**63, 20)])
+        for _ in range(2)
+    )
+    scheme = SeededNonzero(key)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 31, 32):
+        got = scheme.coefficients(build_field(q), rows, cols)
+        want = [oracles.philox_coefficient(key, q, int(r), int(c)) for r, c in zip(rows, cols)]
+        assert got.tolist() == want, q
+
+
+def test_seeded_coefficients_rejected_draws_take_scalar_path(monkeypatch):
+    # q = 7: numpy rejects a low word x when (6 x mod 2^32) < (2^32 - 6) mod 6 = 4,
+    # so x = 0 is redrawn from the next 32 bits; x = 2^32 - 1 maps to 1 + 5
+    f, scheme = build_field(7), SeededNonzero(2**64 + 5)
+    rows, cols = np.arange(40), np.arange(40) % 7
+    scalar = [scheme.coefficient(f, int(r), int(c)) for r, c in zip(rows, cols)]
+    assert set(scalar) != {1}
+    monkeypatch.setattr(ensemble, "_philox4x64_first_word",
+                        lambda key, c2, c3: np.zeros(c2.shape, dtype=np.uint64))
+    assert scheme.coefficients(f, rows, cols).tolist() == scalar
+    monkeypatch.setattr(ensemble, "_philox4x64_first_word",
+                        lambda key, c2, c3: np.full(c2.shape, 2**32 - 1, dtype=np.uint64))
+    assert scheme.coefficients(f, rows, cols).tolist() == [6] * 40
+
+
+def test_seeded_seed_range():
+    SeededNonzero(2**128 - 1)
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match="2\\^128"):
+            SeededNonzero(bad)

@@ -313,6 +313,42 @@ def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"d": None}, "exactly one of m and d"),
+        ({"k": 2}, "row weight k must be >= 3"),
+        ({"scheme": {"kind": "bogus"}}, "unknown coefficient scheme"),
+        ({"scheme": {"kind": "seeded_nonzero", "seed": 2**128}}, "[0, 2^128)"),
+    ],
+    ids=["no-m-or-d", "k2", "unknown-scheme", "wide-scheme-seed"],
+)
+def test_cli_bad_ensemble_exit_2(tmp_path, capsys, override, message):
+    cfg = write_config(tmp_path, **override)
+    code = cli_main(["rank-profile", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("rank-profile", ["--seed", "-1"], "seed must be >= 0"),
+        ("dump-matrix", ["--seed", "-1"], "seed must be >= 0"),
+        ("rank-profile", ["--workers", "0"], "workers must be >= 1"),
+    ],
+)
+def test_cli_bad_override_exit_2(tmp_path, capsys, command, flags, message):
+    cfg = write_config(tmp_path)
+    code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_cli_bracket_failure_exit_5(tmp_path, capsys):
     cfg = write_config(
         tmp_path, experiment="threshold-scan", n=200, trials=4, bracket=[1.2, 1.4]
