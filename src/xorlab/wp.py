@@ -258,22 +258,28 @@ def stats(G: TannerGraph, msgs: MessageSet, k: int | None = None) -> WPStats:
     lab = labels(G, msgs)
     var_prof = _profile_counts(G.edge_var, G.n_vars, msgs.check_to_var, msgs.var_to_check)
     chk_prof = _profile_counts(G.edge_check, G.n_checks, msgs.var_to_check, msgs.check_to_var)
-    delta: dict = {}
-    gamma: dict = {}
-    off_vars = off_checks = 0
-    for j in range(G.n_vars):
-        z = str(_LABEL_CHARS[lab.var_label[j]])
-        ell = tuple(int(x) for x in var_prof[j])
-        delta[(z, ell)] = delta.get((z, ell), 0) + 1
-        if not theory.in_variable_class(z, ell):
-            off_vars += 1
-    for i in range(G.n_checks):
-        z = str(_LABEL_CHARS[lab.check_label[i]])
-        ell = tuple(int(x) for x in chk_prof[i])
-        gamma[(z, ell)] = gamma.get((z, ell), 0) + 1
-        if not theory.in_check_class(z, ell, k):
-            off_checks += 1
+    delta, off_vars = _bucket(lab.var_label, var_prof, theory.in_variable_class)
+    gamma, off_checks = _bucket(
+        lab.check_label, chk_prof, lambda z, ell: theory.in_check_class(z, ell, k)
+    )
     return WPStats(delta, gamma, G.n_vars, G.n_checks, off_vars, off_checks)
+
+
+def _bucket(label, prof, in_class) -> tuple[dict, int]:
+    """Node counts per distinct (label, profile), and the count outside ``in_class``.
+
+    Profile counts reach the node degree, so the rows are deduplicated
+    whole rather than packed into one code.
+    """
+    keys, counts = np.unique(np.column_stack([label, prof]), axis=0, return_counts=True)
+    table: dict = {}
+    off = 0
+    for (z, *ell), c in zip(keys.tolist(), counts.tolist()):
+        key = (str(_LABEL_CHARS[z]), tuple(ell))
+        table[key] = c
+        if not in_class(*key):
+            off += c
+    return table, off
 
 
 def fixed_point_violations(G: TannerGraph, msgs: MessageSet) -> int:

@@ -222,3 +222,30 @@ def reference_gen_interpolated(params, theta, alpha_f, rng):
     A = SparseMatrix.from_rows(f, n, rows)
     t = int(rng.integers(1, pin_count_bound(n) + 1))
     return reference_pin(A, t, rng)
+
+
+def reference_wp_stats(G, msgs, k):
+    """``wp.stats`` as first written: one dict update per node, in node order."""
+    from xorlab import theory
+    from xorlab.wp import labels
+
+    lab = labels(G, msgs)
+    out = []
+    for node_of_edge, n_nodes, incoming, outgoing, node_label, in_class in (
+        (G.edge_var, G.n_vars, msgs.check_to_var, msgs.var_to_check, lab.var_label,
+         theory.in_variable_class),
+        (G.edge_check, G.n_checks, msgs.var_to_check, msgs.check_to_var, lab.check_label,
+         lambda z, ell: theory.in_check_class(z, ell, k)),
+    ):
+        table, off = {}, 0
+        for node in range(n_nodes):
+            edges = node_of_edge == node
+            ell = tuple(
+                int(np.sum(edges & (incoming == s_in) & (outgoing == s_out)))
+                for s_in in (False, True) for s_out in (False, True)
+            )
+            z = "usf"[node_label[node]]
+            table[(z, ell)] = table.get((z, ell), 0) + 1
+            off += not in_class(z, ell)
+        out += [table, off]
+    return out

@@ -26,7 +26,7 @@ from xorlab.wp import (
     wp_update,
 )
 
-from tests.oracles import random_acyclic_pinned
+from tests.oracles import random_acyclic_pinned, reference_wp_stats
 
 GF2 = build_field(2)
 
@@ -188,6 +188,24 @@ def test_stats_totals_and_all_u_profile():
     for deg, count in enumerate(deg_counts):
         if count:
             assert st.delta.get(("u", (deg, 0, 0, 0)), 0) == count
+
+
+def test_stats_match_per_node_reference():
+    draw = np.random.default_rng(4)
+    for seed in range(6):
+        p = EnsembleParams(n=60, k=3 + seed % 2, q=2, d=2.6, seed=seed)
+        A, _ = gen_pinned(p, p.make_rng())
+        G = TannerGraph(A)
+        converged = wp_iterate(G, "all_f")[0]
+        noisy = MessageSet(draw.random(G.n_edges) < 0.5, draw.random(G.n_edges) < 0.5)
+        for msgs in (converged, all_u_messages(G), noisy):
+            st = stats(G, msgs, k=p.k)
+            delta, off_vars, gamma, off_checks = reference_wp_stats(G, msgs, p.k)
+            assert (st.delta, st.off_class_vars) == (delta, off_vars)
+            assert (st.gamma, st.off_class_checks) == (gamma, off_checks)
+            if msgs is noisy:  # random messages put some nodes outside their class
+                assert off_vars + off_checks > 0
+            assert all(type(c) is int for c in [*st.delta.values(), *st.gamma.values()])
 
 
 def test_alpha_fixed_point_unpinned_subcritical():
