@@ -253,7 +253,8 @@ def test_seeded_coefficients_match_numpy_philox(key):
         for _ in range(2)
     )
     scheme = SeededNonzero(key)
-    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 31, 32):
+    # the prime 2^32 + 15 takes numpy's 64-bit bounded map, hence the scalar path
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 31, 32, 2**32 + 15):
         got = scheme.coefficients(build_field(q), rows, cols)
         want = [oracles.philox_coefficient(key, q, int(r), int(c)) for r, c in zip(rows, cols)]
         assert got.tolist() == want, q
