@@ -299,7 +299,7 @@ def _weight_k_rows(params: EnsembleParams, m: int, rng: np.random.Generator) -> 
     cols = _supports(params.n, params.k, m, rng)
     rows = np.broadcast_to(np.arange(m)[:, None], cols.shape)
     values = params.scheme.coefficients(params.field, rows, cols)
-    return [list(zip(c, v)) for c, v in zip(cols.tolist(), values.tolist())]
+    return np.stack([cols, values], axis=2).tolist()
 
 
 def gen_base(params: EnsembleParams, rng: np.random.Generator) -> SparseMatrix:
