@@ -297,8 +297,7 @@ def _supports(n: int, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
 def _weight_k_rows(params: EnsembleParams, m: int, rng: np.random.Generator) -> list:
     """Rows 0..m-1 of weight k: Floyd supports with the scheme's coefficients."""
     cols = _supports(params.n, params.k, m, rng)
-    rows = np.broadcast_to(np.arange(m)[:, None], cols.shape)
-    values = params.scheme.coefficients(params.field, rows, cols)
+    values = params.scheme.coefficients(params.field, np.arange(m)[:, None], cols)
     return np.stack([cols, values], axis=2).tolist()
 
 

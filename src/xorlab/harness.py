@@ -116,8 +116,11 @@ class ExperimentConfig:
             self.ensemble(**point)
 
     def _ensemble_points(self) -> list[dict]:
-        """``ensemble`` overrides covering the grid: every d_grid point, or a scan's
-        bracket ends (its bisection points lie between them)."""
+        """``ensemble`` overrides that cover the experiment's grid.
+
+        These are every d_grid point, or a scan's two bracket ends, between
+        which its bisection points lie.
+        """
         if self.experiment == "threshold-scan":
             return [{"m": round(rho * self.n), "d": None} for rho in self.bracket]
         if self.experiment in ("rank-profile", "peel") and self.d_grid is not None:
