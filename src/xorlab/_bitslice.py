@@ -24,6 +24,7 @@ consumer sees the canonical RREF regardless of engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,40 +52,60 @@ def _n_words(n_cols: int) -> int:
     return max((n_cols + 63) >> 6, 1)
 
 
-class _XorEngine:
-    """Planes are coefficient bitplanes; char-2 addition is XOR."""
+class _Engine:
+    """Packing and decoding shared by both engines.
 
-    def __init__(self, field: Field):
+    A value v sets its bit in plane p when ``member[v, p]``; a position
+    decodes as the sum of ``weight[p]`` over the planes with its bit set.
+    Both layouts give plane 0 the weight 1.
+    """
+
+    def __init__(self, field: Field, weight: list[int], member: np.ndarray):
         self.field = field
-        self.n_planes = field.e
-        # For each scalar c, output plane i is the XOR of the input
-        # planes j with bit i set in c * x^j.
-        self._scale_terms = []
-        for c in range(field.q):
-            terms: list[list[int]] = [[] for _ in range(field.e)]
-            for j in range(field.e):
-                img = field.mul(c, 1 << j)
-                for i in range(field.e):
-                    if (img >> i) & 1:
-                        terms[i].append(j)
-            self._scale_terms.append(terms)
+        self.n_planes = len(weight)
+        self.weight = weight
+        self.member = member
 
-    def pack(self, rows, n_cols: int) -> np.ndarray:
-        planes = np.zeros((self.n_planes, len(rows), _n_words(n_cols)), dtype=np.uint64)
-        for r, row in enumerate(rows):
-            for col, val in row:
-                w, b = col >> 6, col & 63
-                for i in range(self.n_planes):
-                    if (val >> i) & 1:
-                        planes[i, r, w] |= _ONE << np.uint64(b)
+    def pack(self, entries, n_rows: int, n_cols: int) -> np.ndarray:
+        rows, cols, vals = entries
+        planes = np.zeros((self.n_planes, n_rows, _n_words(n_cols)), dtype=np.uint64)
+        bit = _ONE << (cols & 63).astype(np.uint64)
+        for p in range(self.n_planes):
+            on = self.member[vals, p]
+            np.bitwise_or.at(planes[p], (rows[on], cols[on] >> 6), bit[on])
         return planes
 
     def coeffs_at(self, planes: np.ndarray, j: int) -> np.ndarray:
         w, b = j >> 6, np.uint64(j & 63)
-        vals = np.zeros(planes.shape[1], dtype=np.int64)
-        for i in range(self.n_planes):
-            vals |= ((planes[i, :, w] >> b) & _ONE).astype(np.int64) << i
+        vals = ((planes[0, :, w] >> b) & _ONE).astype(np.int64)
+        for p in range(1, self.n_planes):
+            vals += ((planes[p, :, w] >> b) & _ONE).astype(np.int64) * self.weight[p]
         return vals
+
+    def scale_row(self, planes: np.ndarray, r: int, c: int) -> None:
+        planes[:, r] = self.scaled_pivot(planes, r, c)
+
+    def decode(self, planes: np.ndarray, rows_idx, n_cols: int) -> np.ndarray:
+        bits = _unpack_bits(planes[:, rows_idx], n_cols)
+        vals = bits[0].astype(np.int64)
+        for p in range(1, self.n_planes):
+            vals += bits[p].astype(np.int64) * self.weight[p]
+        return vals
+
+
+class _XorEngine(_Engine):
+    """Planes are coefficient bitplanes; char-2 addition is XOR."""
+
+    def __init__(self, field: Field):
+        bits = range(field.e)
+        member = (np.arange(field.q)[:, None] >> np.array(bits)) & 1 == 1
+        super().__init__(field, [1 << i for i in bits], member)
+        # For each scalar c, output plane i is the XOR of the input
+        # planes j with bit i set in c * x^j.
+        self._scale_terms = [
+            [[j for j in bits if (field.mul(c, 1 << j) >> i) & 1] for i in bits]
+            for c in range(field.q)
+        ]
 
     def scaled_pivot(self, planes: np.ndarray, piv: int, c: int) -> np.ndarray:
         out = np.zeros((self.n_planes, planes.shape[2]), dtype=np.uint64)
@@ -93,53 +114,26 @@ class _XorEngine:
                 out[i] ^= planes[j, piv]
         return out
 
-    def scale_row(self, planes: np.ndarray, r: int, c: int) -> None:
-        planes[:, r] = self.scaled_pivot(planes, r, c)
-
     def submul_rows(self, planes, idx, piv: int, value: int) -> None:
         # char 2: subtracting equals adding
         scaled = self.scaled_pivot(planes, piv, value)
         for i in range(self.n_planes):
             planes[i, idx] ^= scaled[i]
 
-    def decode(self, planes: np.ndarray, rows_idx, n_cols: int) -> np.ndarray:
-        bits = _unpack_bits(planes[:, rows_idx], n_cols)
-        vals = np.zeros(bits.shape[1:], dtype=np.int64)
-        for i in range(self.n_planes):
-            vals |= bits[i].astype(np.int64) << i
-        return vals
 
-
-class _OneHotEngine:
-    """Plane s flags positions holding value s (odd characteristic)."""
+class _OneHotEngine(_Engine):
+    """Plane s - 1 flags positions holding value s (odd characteristic)."""
 
     def __init__(self, field: Field):
-        self.field = field
         q = field.q
-        self.n_planes = q - 1
+        nonzero = list(range(1, q))
+        super().__init__(field, nonzero, np.arange(q)[:, None] == np.array(nonzero))
         # nonzero pairs (u, v) with u + v == s, grouped by s
-        self._pairs: list[list[tuple[int, int]]] = [[] for _ in range(q)]
-        for u in range(1, q):
-            for v in range(1, q):
-                self._pairs[field.add(u, v)].append((u, v))
-        # scaling by c permutes planes: value s moves to plane c*s
-        self._perm = [
-            [field.mul(c, s) for s in range(1, q)] for c in range(q)
+        self._pairs = [
+            [(u, v) for u in nonzero for v in nonzero if field.add(u, v) == s] for s in range(q)
         ]
-
-    def pack(self, rows, n_cols: int) -> np.ndarray:
-        planes = np.zeros((self.n_planes, len(rows), _n_words(n_cols)), dtype=np.uint64)
-        for r, row in enumerate(rows):
-            for col, val in row:
-                planes[val - 1, r, col >> 6] |= _ONE << np.uint64(col & 63)
-        return planes
-
-    def coeffs_at(self, planes: np.ndarray, j: int) -> np.ndarray:
-        w, b = j >> 6, np.uint64(j & 63)
-        vals = np.zeros(planes.shape[1], dtype=np.int64)
-        for s in range(1, self.field.q):
-            vals += ((planes[s - 1, :, w] >> b) & _ONE).astype(np.int64) * s
-        return vals
+        # scaling by c permutes planes: value s moves to plane c*s
+        self._perm = [[field.mul(c, s) for s in nonzero] for c in range(q)]
 
     def scaled_pivot(self, planes: np.ndarray, piv: int, c: int) -> np.ndarray:
         out = np.zeros((self.n_planes, planes.shape[2]), dtype=np.uint64)
@@ -148,32 +142,16 @@ class _OneHotEngine:
             out[perm[s - 1] - 1] = planes[s - 1, piv]
         return out
 
-    def scale_row(self, planes: np.ndarray, r: int, c: int) -> None:
-        planes[:, r] = self.scaled_pivot(planes, r, c)
-
     def submul_rows(self, planes, idx, piv: int, value: int) -> None:
         b = self.scaled_pivot(planes, piv, self.field.neg(value))
         a = planes[:, idx]
-        za = a[0].copy()
-        for s in range(1, self.n_planes):
-            za |= a[s]
-        zb = b[0].copy()
-        for s in range(1, self.n_planes):
-            zb |= b[s]
-        keep_a = ~zb
-        keep_b = ~za
+        keep_a = ~np.bitwise_or.reduce(b, axis=0)  # positions where b is zero
+        keep_b = ~np.bitwise_or.reduce(a, axis=0)
         for s in range(1, self.field.q):
             acc = (a[s - 1] & keep_a) | (b[s - 1] & keep_b)
             for u, v in self._pairs[s]:
                 acc |= a[u - 1] & b[v - 1]
             planes[s - 1, idx] = acc
-
-    def decode(self, planes: np.ndarray, rows_idx, n_cols: int) -> np.ndarray:
-        bits = _unpack_bits(planes[:, rows_idx], n_cols)
-        vals = np.zeros(bits.shape[1:], dtype=np.int64)
-        for s in range(1, self.field.q):
-            vals += bits[s - 1].astype(np.int64) * s
-        return vals
 
 
 def _unpack_bits(planes: np.ndarray, n_cols: int) -> np.ndarray:
@@ -184,6 +162,7 @@ def _unpack_bits(planes: np.ndarray, n_cols: int) -> np.ndarray:
     return bits[:, :, :n_cols]
 
 
+@lru_cache(maxsize=None)
 def _engine_for(field: Field):
     if field.p == 2:
         return _XorEngine(field)
@@ -192,30 +171,23 @@ def _engine_for(field: Field):
     return None
 
 
-_ENGINE_CACHE: dict[int, object] = {}
+def eliminate(field: Field, entries, n_rows: int, n_cols: int, *, reduced: bool) -> ElimResult:
+    """Row-reduce an n_rows x n_cols matrix over ``field``.
 
-
-def _cached_engine(field: Field):
-    if field.q not in _ENGINE_CACHE:
-        _ENGINE_CACHE[field.q] = _engine_for(field)
-    return _ENGINE_CACHE[field.q]
-
-
-def eliminate(field: Field, rows, n_rows: int, n_cols: int, *, reduced: bool) -> ElimResult:
-    """Row-reduce ``rows`` (list of sorted (col, val) lists) over ``field``.
-
+    ``entries`` is the (rows, cols, vals) triple of int64 arrays holding
+    the row, column and nonzero value of every stored entry.
     With ``reduced=True`` performs full Gauss-Jordan and returns the
     decoded pivot rows; otherwise stops at row echelon (rank and pivot
     columns only).
     """
-    engine = _cached_engine(field)
+    engine = _engine_for(field)
     if engine is None:
-        return _eliminate_python(field, rows, n_rows, n_cols, reduced=reduced)
+        return _eliminate_python(field, entries, n_rows, n_cols, reduced=reduced)
     if n_rows == 0 or n_cols == 0:
         vals = np.zeros((0, n_cols), dtype=np.int64) if reduced else None
         return ElimResult(0, (), vals)
 
-    planes = engine.pack(rows, n_cols)
+    planes = engine.pack(entries, n_rows, n_cols)
     alive = np.ones(n_rows, dtype=bool)
     pivot_cols: list[int] = []
     pivot_rows: list[int] = []
@@ -246,28 +218,21 @@ def eliminate(field: Field, rows, n_rows: int, n_cols: int, *, reduced: bool) ->
         if len(pivot_cols) == n_rows:
             break
 
-    pivot_values = None
-    if reduced:
-        if pivot_rows:
-            pivot_values = engine.decode(planes, np.array(pivot_rows), n_cols)
-        else:
-            pivot_values = np.zeros((0, n_cols), dtype=np.int64)
+    pivot_values = engine.decode(planes, pivot_rows, n_cols) if reduced else None
     return ElimResult(len(pivot_cols), tuple(pivot_cols), pivot_values)
 
 
-def _eliminate_python(field: Field, rows, n_rows: int, n_cols: int, *, reduced: bool) -> ElimResult:
+def _eliminate_python(field: Field, entries, n_rows: int, n_cols: int, *, reduced: bool):
     """Dense schoolbook elimination; correctness reference and fallback."""
-    dense = [[0] * n_cols for _ in range(n_rows)]
-    for r, row in enumerate(rows):
-        for col, val in row:
-            dense[r][col] = val
+    rows, cols, vals = entries
+    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+    dense[rows, cols] = vals
+    dense = dense.tolist()
     alive = [True] * n_rows
     pivot_cols: list[int] = []
     pivot_rows: list[int] = []
     for j in range(n_cols):
-        piv = next(
-            (r for r in range(n_rows) if alive[r] and dense[r][j] != 0), None
-        )
+        piv = next((r for r in range(n_rows) if alive[r] and dense[r][j] != 0), None)
         if piv is None:
             continue
         cp = dense[piv][j]
@@ -275,19 +240,11 @@ def _eliminate_python(field: Field, rows, n_rows: int, n_cols: int, *, reduced: 
             f = field.inv(cp)
             dense[piv] = [field.mul(f, x) for x in dense[piv]]
         alive[piv] = False
-        targets = (
-            range(n_rows)
-            if reduced
-            else [r for r in range(n_rows) if alive[r]]
-        )
-        for r in targets:
+        for r in range(n_rows) if reduced else [r for r in range(n_rows) if alive[r]]:
             if r == piv or dense[r][j] == 0:
                 continue
             c = field.neg(dense[r][j])
-            prow = dense[piv]
-            dense[r] = [
-                field.add(x, field.mul(c, y)) for x, y in zip(dense[r], prow)
-            ]
+            dense[r] = [field.add(x, field.mul(c, y)) for x, y in zip(dense[r], dense[piv])]
         pivot_cols.append(j)
         pivot_rows.append(piv)
         if len(pivot_cols) == n_rows:

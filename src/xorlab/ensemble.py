@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xorlab.field import Field, build_field
-from xorlab.sparsemat import SparseMatrix
+from xorlab.sparsemat import SparseMatrix, stack_rows
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -294,11 +294,12 @@ def _supports(n: int, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _weight_k_rows(params: EnsembleParams, m: int, rng: np.random.Generator) -> list:
-    """Rows 0..m-1 of weight k: Floyd supports with the scheme's coefficients."""
+def _weight_k_matrix(params: EnsembleParams, m: int, rng: np.random.Generator) -> SparseMatrix:
+    """m rows of weight k: Floyd supports with the scheme's coefficients."""
     cols = _supports(params.n, params.k, m, rng)
-    values = params.scheme.coefficients(params.field, np.arange(m)[:, None], cols)
-    return np.stack([cols, values], axis=2).tolist()
+    vals = params.scheme.coefficients(params.field, np.arange(m)[:, None], cols)
+    indptr = np.arange(0, m * params.k + 1, params.k)
+    return SparseMatrix(params.field, params.n, indptr, cols.ravel(), vals.ravel())
 
 
 def gen_base(params: EnsembleParams, rng: np.random.Generator) -> SparseMatrix:
@@ -307,17 +308,14 @@ def gen_base(params: EnsembleParams, rng: np.random.Generator) -> SparseMatrix:
     Draw order: row 0's support (k draws), row 1's support, ...
     Coefficients come from the scheme, not from ``rng``.
     """
-    return SparseMatrix.from_rows(
-        params.field, params.n, _weight_k_rows(params, params.m_rows, rng)
-    )
+    return _weight_k_matrix(params, params.m_rows, rng)
 
 
 def pin(A: SparseMatrix, t: int, rng: np.random.Generator) -> SparseMatrix:
     """Append t unary rows, each a single 1 in an independent uniform column."""
     if t < 0:
         raise ValueError("pin count must be >= 0")
-    extra = [[(c, 1)] for c in rng.integers(0, A.n_cols, size=t).tolist()]
-    return SparseMatrix.from_rows(A.field, A.n_cols, list(A.rows) + extra)
+    return stack_rows(A, [[(c, 1)] for c in rng.integers(0, A.n_cols, size=t).tolist()])
 
 
 def pin_count_bound(n: int) -> int:
@@ -358,10 +356,9 @@ def gen_interpolated(
         raise ValueError("alpha_f must lie in [0, 1]")
     d, n, k = params.density, params.n, params.k
     m_theta = int(rng.poisson((1.0 - theta) * d * n / k))
-    rows = _weight_k_rows(params, m_theta, rng)
+    A = _weight_k_matrix(params, m_theta, rng)
     m_unary = int(rng.poisson(d * theta * alpha_f ** (k - 1) * n))
-    rows += [[(c, 1)] for c in rng.integers(0, n, size=m_unary).tolist()]
-    A = SparseMatrix.from_rows(params.field, n, rows)
+    A = stack_rows(A, [[(c, 1)] for c in rng.integers(0, n, size=m_unary).tolist()])
     T = pin_count_bound(n)
     t = int(rng.integers(1, T + 1))
     return pin(A, t, rng)
@@ -384,9 +381,10 @@ def is_solvable(A: SparseMatrix, y) -> bool:
     """rank(A) == rank(A | y), via one elimination of the augmented matrix."""
     from xorlab.sparsemat import rank
 
-    aug_rows = [
-        list(row) + ([(A.n_cols, int(yi))] if yi else [])
-        for row, yi in zip(A.rows, np.asarray(y))
-    ]
-    aug = SparseMatrix.from_rows(A.field, A.n_cols + 1, aug_rows)
+    y = np.asarray(y, dtype=np.int64)
+    extra = np.flatnonzero(y)
+    order = np.argsort(np.append(A.entry_rows, extra), kind="stable")  # y_i ends row i
+    aug = SparseMatrix(A.field, A.n_cols + 1, A.indptr + np.append(0, np.cumsum(y != 0)),
+                       np.append(A.cols, np.full(extra.size, A.n_cols))[order],
+                       np.append(A.vals, y[extra])[order])
     return rank(aug) == rank(A)

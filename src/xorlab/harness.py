@@ -33,6 +33,7 @@ import numpy as np
 from xorlab import __version__
 from xorlab.ensemble import (
     EnsembleParams,
+    ExplicitTable,
     gen_base,
     gen_interpolated,
     gen_pinned,
@@ -74,6 +75,15 @@ class Tolerances:
     tol_balance: float = 0.05
 
 
+def _check_explicit_table(params: EnsembleParams) -> None:
+    """An explicit table must hold the m_rows x n block that the base rows address."""
+    if isinstance(params.scheme, ExplicitTable):
+        m, n, q = params.m_rows, params.n, params.q
+        block = [row[:n] for row in params.scheme.rows[:m]]
+        if len(block) < m or any(len(row) < n or not all(0 < v < q for v in row) for row in block):
+            raise ConfigError(f"explicit table needs {m} rows of {n} values in [1, {q})")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment run depends on; JSON round-trippable."""
@@ -113,18 +123,20 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for point in self._ensemble_points():
-            self.ensemble(**point)
+            _check_explicit_table(self.ensemble(**point))
 
     def _ensemble_points(self) -> list[dict]:
         """``ensemble`` overrides that cover the experiment's grid.
 
-        These are every d_grid point, or a scan's two bracket ends, between
-        which its bisection points lie.
+        These are every d_grid or n_grid point, or a scan's two bracket
+        ends, between which its bisection points lie.
         """
         if self.experiment == "threshold-scan":
             return [{"m": round(rho * self.n), "d": None} for rho in self.bracket]
         if self.experiment in ("rank-profile", "peel") and self.d_grid is not None:
             return [{"d": d} for d in self.d_grid]
+        if self.experiment == "audit-freeness":
+            return [{"n": n} for n in self.n_grid or _FREENESS_N_GRID]
         return [{}]
 
     def ensemble(self, *, n=None, m=None, d=None) -> EnsembleParams:
@@ -504,10 +516,7 @@ def _measure_balance(config, _, rng):
     n, q = params.n, params.q
     unfrozen = np.any(kb.basis != 0, axis=0) if kb.dimension else np.zeros(n, dtype=bool)
     alpha_hat = 1.0 - unfrozen.mean()
-    deg = np.zeros(n, dtype=np.int64)
-    for row in A.rows:
-        for c, _ in row:
-            deg[c] += 1
+    deg = np.bincount(A.cols, minlength=n)
     l2s, l1s, imbalances = [], [], []
     for _ in range(config.kernel_samples):
         sigma = kb.sample(rng)
@@ -656,6 +665,9 @@ def exp_interpolation(config: ExperimentConfig) -> ExperimentResult:
 # -- freeness audit ---------------------------------------------------------------
 
 
+_FREENESS_N_GRID = (50, 100, 200)  # n_grid when the config gives none
+
+
 def _measure_freeness(config, n, rng):
     params = config.ensemble(n=n)
     A, t_pins = gen_pinned(params, rng)
@@ -664,12 +676,13 @@ def _measure_freeness(config, n, rng):
 
 def exp_freeness_audit(config: ExperimentConfig) -> ExperimentResult:
     """Fraction of pinned instances passing the (0.1, 3)-freeness audit."""
-    grid = config.n_grid if config.n_grid is not None else [50, 100, 200]
+    grid = config.n_grid or _FREENESS_N_GRID
+    d = config.ensemble().density
     by_point = run_grid(config, _measure_freeness, grid)
     summary = [
         {
             "n": n,
-            "d": config.ensemble().density,
+            "d": d,
             "trials": len(rows),
             "pass_frac": _mean(1.0 * r["freeness_pass"] for r in rows),
         }

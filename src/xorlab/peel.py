@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from xorlab.sparsemat import Minor, SparseMatrix, minor
 
 
@@ -47,12 +49,11 @@ class PeelResult:
 def two_core(A: SparseMatrix) -> PeelResult:
     """Peel degree-<=-1 columns (with their rows) until none remain."""
     n = A.n_cols
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    degree = [0] * n
-    for i, row in enumerate(A.rows):
-        for c, _ in row:
-            col_rows[c].append(i)
-            degree[c] += 1
+    col_count = np.bincount(A.cols, minlength=n)
+    degree = col_count.tolist()
+    col_ptr = np.append(0, np.cumsum(col_count)).tolist()
+    col_rows = A.entry_rows[np.argsort(A.cols, kind="stable")].tolist()
+    row_ptr, cols = A.indptr.tolist(), A.cols.tolist()
     row_alive = [True] * A.n_rows
     col_alive = [True] * n
     heap = [j for j in range(n) if degree[j] <= 1]
@@ -66,17 +67,15 @@ def two_core(A: SparseMatrix) -> PeelResult:
         col_alive[j] = False
         removed_cols.append(j)
         if degree[j] == 1:
-            i = next(r for r in col_rows[j] if row_alive[r])
+            i = next(r for r in col_rows[col_ptr[j] : col_ptr[j + 1]] if row_alive[r])
             row_alive[i] = False
             removed_rows.append(i)
-            for c, _ in A.rows[i]:
+            for c in cols[row_ptr[i] : row_ptr[i + 1]]:
                 if col_alive[c]:
                     degree[c] -= 1
                     if degree[c] <= 1:
                         heapq.heappush(heap, c)
-    dead_rows = [i for i in range(A.n_rows) if not row_alive[i]]
-    dead_cols = [j for j in range(n) if not col_alive[j]]
-    core = minor(A, dead_rows, dead_cols)
+    core = minor(A, removed_rows, removed_cols)
     return PeelResult(core, tuple(removed_cols), tuple(removed_rows))
 
 

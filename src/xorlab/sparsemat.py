@@ -1,7 +1,13 @@
 """Row-sparse matrices over GF(q) with exact elimination.
 
-A :class:`SparseMatrix` is an immutable value: per-row sorted lists of
-(column, coefficient) pairs plus a field reference.  On top of the
+A :class:`SparseMatrix` is an immutable value in compressed sparse row
+(CSR) layout: ``indptr`` (n_rows + 1 offsets), ``cols`` and ``vals``
+(one int64 entry per nonzero, columns strictly increasing within each
+row, values in [1, q)), plus ``n_cols`` and a field reference.  Its
+constructor validates the arrays once and freezes them; generation,
+peeling, elimination and warning propagation read them directly, and
+``rows`` gives the (column, value) pairs per row for callers that want
+them.  On top of the
 canonical reduced row echelon form (unique, so independent of the
 elimination engine) this module derives ranks, kernel bases, exact
 uniform kernel sampling, frozen variables, relation tests, the
@@ -14,7 +20,9 @@ and worker processes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 import numpy as np
 
@@ -26,82 +34,117 @@ class BudgetExceededError(RuntimeError):
     """An exact computation would exceed its configured budget."""
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable row-sparse matrix over GF(q).
+_ARRAYS = ("indptr", "cols", "vals")
 
-    ``rows[i]`` is a tuple of (column, value) pairs with strictly
-    increasing columns and nonzero values.
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Immutable CSR matrix over GF(q).
+
+    Row i holds the entries ``cols[indptr[i]:indptr[i + 1]]`` with values
+    ``vals[indptr[i]:indptr[i + 1]]``; columns strictly increase within a
+    row and values are nonzero.  The constructor is the one place that
+    checks this, and it stores read-only int64 copies of the arrays.
     """
 
-    n_rows: int
-    n_cols: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
     field: Field
+    n_cols: int
+    indptr: np.ndarray  # (n_rows + 1,)
+    cols: np.ndarray  # (nnz,)
+    vals: np.ndarray  # (nnz,)
+
+    def __post_init__(self):
+        for name in _ARRAYS:
+            a = np.array(getattr(self, name), np.int64).reshape(-1)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "n_cols", int(self.n_cols))
+        q, n_cols, indptr, cols = self.field.q, self.n_cols, self.indptr, self.cols
+        if not (indptr.size and indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+                and indptr[-1] == cols.size == self.vals.size):
+            raise ValueError("indptr must start at 0, never decrease and end at nnz")
+        if n_cols < 0 or np.any((cols < 0) | (cols >= n_cols)):
+            raise ValueError(f"columns must lie in [0, {n_cols})")
+        # rows never decrease, so (row, column) keys increase iff columns do within rows
+        if np.any(np.diff(self.entry_rows * n_cols + cols) <= 0):
+            raise ValueError("row columns must be strictly increasing")
+        if np.any((self.vals < 1) | (self.vals >= q)):
+            raise ValueError(f"values must be nonzero elements of GF({q})")
 
     @classmethod
     def from_rows(cls, field: Field, n_cols: int, rows) -> "SparseMatrix":
-        clean = []
-        for row in rows:
-            row = tuple((int(c), int(v)) for c, v in row)
-            for (c, v), (c2, _) in zip(row, row[1:]):
-                if c >= c2:
-                    raise ValueError("row columns must be strictly increasing")
-            for c, v in row:
-                if not 0 <= c < n_cols:
-                    raise ValueError(f"column {c} out of range [0, {n_cols})")
-                if not 1 <= v < field.q:
-                    raise ValueError(f"{v} is not a nonzero element of GF({field.q})")
-            clean.append(row)
-        return cls(len(clean), n_cols, tuple(clean), field)
+        """From per-row sequences of (column, value) pairs."""
+        return stack_rows(cls.zero(field, 0, n_cols), rows)
 
     @classmethod
     def from_dense(cls, field: Field, dense) -> "SparseMatrix":
-        dense = np.asarray(dense)
-        rows = [
-            [(j, int(v)) for j, v in enumerate(row) if v]
-            for row in dense
-        ]
-        n_cols = dense.shape[1] if dense.ndim == 2 else 0
-        return cls.from_rows(field, n_cols, rows)
+        dense = np.asarray(dense, dtype=np.int64)
+        r, c = np.nonzero(dense)
+        indptr = np.append(0, np.cumsum(np.bincount(r, minlength=dense.shape[0])))
+        return cls(field, dense.shape[1], indptr, c, dense[r, c])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "SparseMatrix":
-        return cls.from_rows(field, n, [[(j, 1)] for j in range(n)])
+        return cls(field, n, np.arange(n + 1), np.arange(n), np.ones(n))
 
     @classmethod
     def zero(cls, field: Field, n_rows: int, n_cols: int) -> "SparseMatrix":
-        return cls.from_rows(field, n_cols, [[] for _ in range(n_rows)])
+        return cls(field, n_cols, np.zeros(n_rows + 1), (), ())
+
+    @property
+    def n_rows(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return self.cols.size
+
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """The row index of every stored entry, (nnz,)."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i as a tuple of (column, value) pairs (built on first use)."""
+        entries = list(zip(self.cols.tolist(), self.vals.tolist()))
+        bounds = self.indptr.tolist()
+        return tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def _key(self) -> tuple:
+        return (self.field, self.n_cols, *(getattr(self, a).tobytes() for a in _ARRAYS))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseMatrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # copies and unpickled matrices pass the constructor too
+        return type(self), (self.field, self.n_cols, *(getattr(self, a) for a in _ARRAYS))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for c, v in row:
-                out[i, c] = v
+        out[self.entry_rows, self.cols] = self.vals
         return out
 
     def matvec(self, sigma) -> np.ndarray:
         """A @ sigma over the field, sigma integer-encoded."""
-        f = self.field
+        f, sigma = self.field, np.asarray(sigma)[self.cols].tolist()
+        prod = np.array([f.mul(v, s) for v, s in zip(self.vals.tolist(), sigma)], np.int64)
+        lengths = np.diff(self.indptr)
         out = np.zeros(self.n_rows, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            acc = 0
-            for c, v in row:
-                acc = f.add(acc, f.mul(v, int(sigma[c])))
-            out[i] = acc
+        for t in range(lengths.max(initial=0)):  # add the t-th entry of every row that has one
+            rows = np.flatnonzero(lengths > t)
+            out[rows] = f.add_arrays(out[rows], prod[self.indptr[rows] + t])
         return out
 
     # -- text serialization: header "M N q", then "row col value" lines --
 
     def dumps(self) -> str:
         lines = [f"{self.n_rows} {self.n_cols} {self.field.q}"]
-        for i, row in enumerate(self.rows):
-            for c, v in row:
-                lines.append(f"{i} {c} {v}")
+        for i, c, v in zip(self.entry_rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+            lines.append(f"{i} {c} {v}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -110,14 +153,14 @@ class SparseMatrix:
         if not lines:
             raise ValueError("empty matrix text")
         m, n, q = (int(x) for x in lines[0].split())
-        f = build_field(q)
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for ln in lines[1:]:
-            i, c, v = (int(x) for x in ln.split())
-            if not 0 <= i < m:
-                raise ValueError(f"row index {i} out of range")
-            rows[i].append((c, v))
-        return cls.from_rows(f, n, [sorted(r) for r in rows])
+        i, c, v = np.array(
+            [[int(x) for x in ln.split()] for ln in lines[1:]], dtype=np.int64
+        ).reshape(-1, 3).T
+        if np.any((i < 0) | (i >= m)):
+            raise ValueError(f"row index {i[(i < 0) | (i >= m)][0]} out of range")
+        order = np.lexsort((v, c, i))
+        indptr = np.append(0, np.cumsum(np.bincount(i, minlength=m)))
+        return cls(build_field(q), n, indptr, c[order], v[order])
 
 
 @dataclass(frozen=True)
@@ -161,7 +204,8 @@ class KernelBasis:
 
 
 def _elim(A: SparseMatrix, *, reduced: bool):
-    return eliminate(A.field, A.rows, A.n_rows, A.n_cols, reduced=reduced)
+    entries = (A.entry_rows, A.cols, A.vals)
+    return eliminate(A.field, entries, A.n_rows, A.n_cols, reduced=reduced)
 
 
 def rref(A: SparseMatrix) -> RrefResult:
@@ -172,14 +216,7 @@ def rref(A: SparseMatrix) -> RrefResult:
     are dropped from the returned matrix.
     """
     res = _elim(A, reduced=True)
-    mat = SparseMatrix.from_rows(
-        A.field,
-        A.n_cols,
-        [
-            [(j, int(v)) for j, v in enumerate(row) if v]
-            for row in res.pivot_values
-        ],
-    )
+    mat = SparseMatrix.from_dense(A.field, res.pivot_values)
     return RrefResult(mat, res.rank, res.pivot_cols)
 
 
@@ -304,18 +341,9 @@ def freeness_audit(
     unfrozen = np.flatnonzero(~frozen)
 
     # group unfrozen columns by projective class
-    class_of: dict[tuple[int, ...], int] = {}
-    members: list[list[int]] = []
-    col_class = {}
-    for j in unfrozen:
-        rep = _projective_rep(f, K[:, j])
-        cid = class_of.setdefault(rep, len(class_of))
-        if cid == len(members):
-            members.append([])
-        members[cid].append(int(j))
-        col_class[int(j)] = cid
-    reps = list(class_of.keys())
-    sizes = [len(m) for m in members]
+    class_sizes = Counter(_projective_rep(f, K[:, j]) for j in unfrozen)
+    reps, sizes = list(class_sizes), list(class_sizes.values())
+    class_of = {rep: cid for cid, rep in enumerate(reps)}
 
     counts: dict[int, int] = {}
     # h = 2: proportional unfrozen pairs
@@ -386,7 +414,13 @@ def balance_distance(sigma, q: int, norm: str = "l2") -> float:
 
 
 def stack_rows(A: SparseMatrix, extra_rows) -> SparseMatrix:
-    return SparseMatrix.from_rows(A.field, A.n_cols, list(A.rows) + list(extra_rows))
+    """A with ``extra_rows`` (sequences of (column, value) pairs) appended."""
+    extra_rows = [list(row) for row in extra_rows]
+    ends = A.nnz + np.cumsum([len(row) for row in extra_rows], dtype=np.int64)
+    pairs = np.array([e for row in extra_rows for e in row], dtype=np.int64).reshape(-1, 2)
+    cols, vals = pairs.T
+    return SparseMatrix(A.field, A.n_cols, np.concatenate([A.indptr, ends]),
+                        np.concatenate([A.cols, cols]), np.concatenate([A.vals, vals]))
 
 
 @dataclass(frozen=True)
@@ -396,26 +430,28 @@ class Minor:
     kept_cols: tuple[int, ...]  # new col index -> original col index
 
 
+def _keep_mask(size: int, removed, what: str) -> np.ndarray:
+    removed = np.array(list(removed), dtype=np.int64)
+    if np.any((removed < 0) | (removed >= size)):
+        raise ValueError(f"{what} index out of range [0, {size})")
+    keep = np.ones(size, dtype=bool)
+    keep[removed] = False
+    return keep
+
+
 def minor(A: SparseMatrix, removed_rows, removed_cols) -> Minor:
     """Delete the given rows and columns, preserving the remaining order.
 
     The returned maps translate the minor's indices back to the
     original ones (needed because columns are re-indexed).
     """
-    removed_rows = set(int(r) for r in removed_rows)
-    removed_cols = set(int(c) for c in removed_cols)
-    for r in removed_rows:
-        if not 0 <= r < A.n_rows:
-            raise ValueError(f"row {r} out of range")
-    for c in removed_cols:
-        if not 0 <= c < A.n_cols:
-            raise ValueError(f"column {c} out of range")
-    kept_cols = [c for c in range(A.n_cols) if c not in removed_cols]
-    col_map = {c: i for i, c in enumerate(kept_cols)}
-    kept_rows = [i for i in range(A.n_rows) if i not in removed_rows]
-    new_rows = [
-        [(col_map[c], v) for c, v in A.rows[i] if c in col_map]
-        for i in kept_rows
-    ]
-    mat = SparseMatrix.from_rows(A.field, len(kept_cols), new_rows)
-    return Minor(mat, tuple(kept_rows), tuple(kept_cols))
+    row_keep = _keep_mask(A.n_rows, removed_rows, "row")
+    col_keep = _keep_mask(A.n_cols, removed_cols, "column")
+    entry_rows = A.entry_rows
+    keep = col_keep[A.cols] & row_keep[entry_rows]
+    indptr = np.append(0, np.cumsum(np.bincount(entry_rows[keep], minlength=A.n_rows)[row_keep]))
+    new_col = np.cumsum(col_keep) - 1
+    mat = SparseMatrix(A.field, int(col_keep.sum()), indptr,
+                       new_col[A.cols[keep]], A.vals[keep])
+    return Minor(mat, tuple(np.flatnonzero(row_keep).tolist()),
+                 tuple(np.flatnonzero(col_keep).tolist()))

@@ -99,6 +99,12 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bracket_starts(vals: np.ndarray) -> np.ndarray:
+    """Interior indices i where vals[i] = 0, or vals changes sign to a nonzero vals[i + 1]."""
+    s, nxt = np.sign(vals[1:-1]), np.sign(vals[2:])
+    return np.flatnonzero((s == 0) | ((s != nxt) & (nxt != 0))) + 1
+
+
 def fixed_points(d: float, k: int, tol: float = 1e-12) -> tuple[float, float, float]:
     """All fixed points of phi in [0, 1], as (alpha_u, alpha_s, alpha_f).
 
@@ -115,13 +121,10 @@ def fixed_points(d: float, k: int, tol: float = 1e-12) -> tuple[float, float, fl
 
     grid = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
     vals = 1.0 - np.exp(-d * grid ** (k - 1)) - grid
-    roots: list[float] = []
-    sign = np.sign(vals)
-    for i in range(1, _GRID_POINTS):
-        if sign[i] == 0:
-            roots.append(float(grid[i]))
-        elif sign[i] != sign[i + 1] and sign[i + 1] != 0:
-            roots.append(_bisect(g, float(grid[i]), float(grid[i + 1]), tol))
+    roots = [
+        float(grid[i]) if vals[i] == 0 else _bisect(g, float(grid[i]), float(grid[i + 1]), tol)
+        for i in _bracket_starts(vals).tolist()
+    ]
     if vals[-1] == 0:
         roots.append(1.0)
     roots = [r for r in roots if r > tol]

@@ -24,7 +24,6 @@ from xorlab import theory
 from xorlab.sparsemat import BudgetExceededError, SparseMatrix, frozen_set, minor
 
 LABEL_U, LABEL_S, LABEL_F = 0, 1, 2
-_LABEL_CHARS = np.array(["u", "s", "f"])
 
 # cost guard for the exact standard messages: (rows + edges) eliminations
 # of an n_rows x n_cols matrix each
@@ -42,18 +41,10 @@ class TannerGraph:
         self.matrix = A
         self.n_vars = A.n_cols
         self.n_checks = A.n_rows
-        edge_var = []
-        edge_check = []
-        row_ptr = [0]
-        for i, row in enumerate(A.rows):
-            for c, _ in row:
-                edge_check.append(i)
-                edge_var.append(c)
-            row_ptr.append(len(edge_var))
-        self.edge_var = np.array(edge_var, dtype=np.int64)
-        self.edge_check = np.array(edge_check, dtype=np.int64)
-        self.row_ptr = np.array(row_ptr, dtype=np.int64)
-        self.n_edges = len(edge_var)
+        self.edge_var = A.cols
+        self.edge_check = A.entry_rows
+        self.row_ptr = A.indptr
+        self.n_edges = A.nnz
         self.var_degree = np.bincount(self.edge_var, minlength=self.n_vars).astype(np.int64)
         self.check_degree = np.bincount(self.edge_check, minlength=self.n_checks).astype(np.int64)
 
@@ -193,12 +184,6 @@ class Labels:
     var_label: np.ndarray  # int8 codes LABEL_U/S/F
     check_label: np.ndarray
 
-    def var_chars(self) -> np.ndarray:
-        return _LABEL_CHARS[self.var_label]
-
-    def check_chars(self) -> np.ndarray:
-        return _LABEL_CHARS[self.check_label]
-
 
 def labels(G: TannerGraph, msgs: MessageSet) -> Labels:
     """Variables: f on >= 2 incoming frozen, s on exactly one, else u.
@@ -268,14 +253,20 @@ def stats(G: TannerGraph, msgs: MessageSet, k: int | None = None) -> WPStats:
 def _bucket(label, prof, in_class) -> tuple[dict, int]:
     """Node counts per distinct (label, profile), and the count outside ``in_class``.
 
-    Profile counts reach the node degree, so the rows are deduplicated
-    whole rather than packed into one code.
+    Each node's (label, l_uu, l_uf, l_fu, l_ff) is one mixed-radix code
+    with base max(profile) + 1 below the label digit, so sorting the
+    codes sorts the keys; int64 holds it for node degrees below 40000.
     """
-    keys, counts = np.unique(np.column_stack([label, prof]), axis=0, return_counts=True)
+    base = int(prof.max(initial=0)) + 1
+    code = label.astype(np.int64)
+    for column in prof.T:
+        code = code * base + column
+    codes, counts = np.unique(code, return_counts=True)
+    keys = np.column_stack([codes // base**4, *(codes // base**p % base for p in (3, 2, 1, 0))])
     table: dict = {}
     off = 0
     for (z, *ell), c in zip(keys.tolist(), counts.tolist()):
-        key = (str(_LABEL_CHARS[z]), tuple(ell))
+        key = ("usf"[z], tuple(ell))
         table[key] = c
         if not in_class(*key):
             off += c

@@ -249,3 +249,42 @@ def reference_wp_stats(G, msgs, k):
             off += not in_class(z, ell)
         out += [table, off]
     return out
+
+
+# -- row-tuple reference for the CSR matrix operations ------------------------------
+
+
+def reference_minor(A, removed_rows, removed_cols):
+    """``minor`` by walking ``A.rows``: (rows, n_cols, kept_rows, kept_cols)."""
+    removed_rows = {int(i) for i in removed_rows}
+    removed_cols = {int(j) for j in removed_cols}
+    kept_rows = [i for i in range(A.n_rows) if i not in removed_rows]
+    kept_cols = [j for j in range(A.n_cols) if j not in removed_cols]
+    col_map = {j: new for new, j in enumerate(kept_cols)}
+    old_rows = A.rows
+    rows = tuple(
+        tuple((col_map[c], v) for c, v in old_rows[i] if c in col_map) for i in kept_rows
+    )
+    return rows, len(kept_cols), tuple(kept_rows), tuple(kept_cols)
+
+
+def reference_stack_rows(A, extra_rows):
+    """``stack_rows`` as row tuples: A's rows, then the extra rows."""
+    return A.rows + tuple(tuple((int(c), int(v)) for c, v in row) for row in extra_rows)
+
+
+# -- root bracketing of theory.fixed_points --------------------------------------
+
+
+def loop_bracket_starts(vals) -> list[int]:
+    """Grid indices where ``fixed_points`` starts a root, by a plain sign walk.
+
+    Interior index i counts when vals[i] is zero, or when the sign
+    changes from i to i + 1 and vals[i + 1] is not zero.
+    """
+    sign = np.sign(vals).tolist()
+    out = []
+    for i, (s, nxt) in enumerate(zip(sign[1:-1], sign[2:]), start=1):
+        if s == 0 or (s != nxt and nxt != 0):
+            out.append(i)
+    return out

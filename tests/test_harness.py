@@ -332,6 +332,18 @@ def test_cli_bad_ensemble_exit_2(tmp_path, capsys, override, message):
     assert err.count("\n") == 1
 
 
+def test_cli_short_explicit_table_exit_2(tmp_path, capsys):
+    config = {"experiment": "rank-profile", "n": 10, "k": 3, "q": 3, "d": 1.5, "trials": 1,
+              "seed": 1, "scheme": {"kind": "explicit", "rows": [[1, 2]]}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = cli_main(["rank-profile", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "explicit table" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -28,11 +31,14 @@ from tests.oracles import (
     enumerate_kernel,
     enumerate_kernel_from_basis,
     random_sparse,
+    reference_minor,
     reference_rref,
+    reference_stack_rows,
 )
 
 GF2 = build_field(2)
 GF3 = build_field(3)
+GF9 = build_field(9)
 
 
 def mat(field, n_cols, rows):
@@ -327,6 +333,30 @@ def test_stack_then_minor_roundtrip():
     assert minor(B, {3}, ()).matrix == A
 
 
+def test_minor_and_stack_match_row_walk():
+    rng = np.random.default_rng(21)
+    for field in (GF2, GF3, GF9):
+        for density in (0.0, 0.15, 0.5):
+            A = random_sparse(field, 6, 7, rng, density)
+            for removed_rows, removed_cols in [
+                ((), ()),
+                (range(6), range(7)),
+                (range(6), ()),
+                ((), range(7)),
+                *(
+                    (np.flatnonzero(rng.random(6) < 0.4), np.flatnonzero(rng.random(7) < 0.4))
+                    for _ in range(10)
+                ),
+            ]:
+                m = minor(A, removed_rows, removed_cols)
+                rows, n_cols, kept_rows, kept_cols = reference_minor(A, removed_rows, removed_cols)
+                assert m.matrix.rows == rows and m.matrix.n_cols == n_cols
+                assert (m.kept_rows, m.kept_cols) == (kept_rows, kept_cols)
+            for n_extra in (0, 1, 3):
+                extra = random_sparse(field, n_extra, 7, rng, density).rows
+                assert stack_rows(A, extra).rows == reference_stack_rows(A, extra)
+
+
 def test_minor_of_identity():
     A = SparseMatrix.identity(GF2, 3)
     m = minor(A, {0}, {0})
@@ -359,3 +389,33 @@ def test_from_rows_validation():
         mat(GF2, 3, [[(0, 0)]])  # zero coefficient
     with pytest.raises(ValueError):
         mat(GF2, 3, [[(3, 1)]])  # column out of range
+    with pytest.raises(ValueError):
+        mat(GF2, 3, [[(0, 1)], [(1, 1), (1, 1)]])  # duplicate column in a row
+    with pytest.raises(ValueError):
+        mat(GF2, 3, [[(-1, 1)]])  # negative column
+    for indptr in ([1, 2], [0, 2, 1, 2], [0, 1], [0, 3]):  # start, decrease, end
+        with pytest.raises(ValueError, match="indptr"):
+            SparseMatrix(GF2, 3, indptr, [0, 1], [1, 1])
+    assert SparseMatrix(GF2, 3, [0, 1, 1, 2], [2, 0], [1, 1]).rows == (((2, 1),), (), ((0, 1),))
+
+
+def test_arrays_are_read_only():
+    A = random_sparse(GF3, 4, 5, np.random.default_rng(5))
+    for B in (A, copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert B == A
+        for name in ("indptr", "cols", "vals"):
+            with pytest.raises(ValueError):
+                getattr(B, name)[0] = 0
+    cols = np.array([0, 2])
+    B = SparseMatrix(GF2, 3, [0, 2], cols, [1, 1])
+    cols[0] = 1  # the matrix holds its own copy
+    assert B.rows == (((0, 1), (2, 1)),)
+
+
+def test_rows_roundtrip_through_from_rows():
+    rng = np.random.default_rng(6)
+    for field in (GF2, GF3, GF9):
+        for density in (0.0, 0.3, 1.0):
+            A = random_sparse(field, 5, 4, rng, density)
+            assert SparseMatrix.from_rows(field, 4, A.rows) == A
+            assert SparseMatrix.from_dense(field, A.to_dense()) == A

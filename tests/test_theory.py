@@ -28,6 +28,9 @@ from xorlab.theory import (
     threshold_dk_star,
     threshold_report,
 )
+from xorlab import theory
+
+from tests.oracles import loop_bracket_starts
 
 
 # -- independent oracles ------------------------------------------------------
@@ -133,6 +136,18 @@ def test_supercritical_residuals():
         for a in (a_s, a_f):
             assert abs(phi(d, k, a) - a) <= 1e-10
             assert abs(Phi_prime(d, k, a)) <= 1e-6
+
+
+def test_bracket_starts_match_sign_walk():
+    grid = np.linspace(0.0, 1.0, theory._GRID_POINTS + 1)
+    for k in range(3, 17):
+        for d in np.linspace(0.05, 20.0, 400):
+            vals = 1.0 - np.exp(-d * grid ** (k - 1)) - grid
+            assert theory._bracket_starts(vals).tolist() == loop_bracket_starts(vals), (d, k)
+    rng = np.random.default_rng(8)  # exact zeros, which the grid above rarely hits
+    for _ in range(300):
+        vals = rng.integers(-1, 2, size=int(rng.integers(2, 30))).astype(float)
+        assert theory._bracket_starts(vals).tolist() == loop_bracket_starts(vals)
 
 
 def test_fixed_points_sorted_and_stationary():
