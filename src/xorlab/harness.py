@@ -39,6 +39,7 @@ from xorlab.ensemble import (
     gen_pinned,
     scheme_from_dict,
 )
+from xorlab.field import build_field
 from xorlab.peel import has_full_row_rank, rank_via_core, two_core
 from xorlab.sparsemat import (
     balance_distance,
@@ -47,7 +48,7 @@ from xorlab.sparsemat import (
     kernel_basis,
     rank,
 )
-from xorlab.theory import Phi, fixed_points, threshold_dk, threshold_dk_star
+from xorlab.theory import D_MAX, K_MAX, Phi, fixed_points, threshold_dk, threshold_dk_star
 from xorlab.wp import (
     LABEL_U,
     TannerGraph,
@@ -73,6 +74,11 @@ class Tolerances:
     tol_fp: float = 0.1
     tol_stats: float = 0.1
     tol_balance: float = 0.05
+
+
+# experiments that evaluate the closed-form theory at k, and those that also take d
+_THEORY_AT_K = ("threshold-scan", "peel", "wp-stats", "interpolate")
+_THEORY_AT_D = ("wp-stats", "interpolate")
 
 
 def _check_explicit_table(params: EnsembleParams) -> None:
@@ -122,8 +128,18 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            build_field(self.q)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"q: {exc}") from exc
         for point in self._ensemble_points():
             _check_explicit_table(self.ensemble(**point))
+        if self.experiment in _THEORY_AT_K and self.k > K_MAX:
+            raise ConfigError(f"{self.experiment} needs the theory, which supports k <= {K_MAX}")
+        if self.experiment in _THEORY_AT_D and not 0 < self.ensemble().density <= D_MAX:
+            raise ConfigError(
+                f"{self.experiment} needs the theory, which supports d in (0, {D_MAX}]"
+            )
 
     def _ensemble_points(self) -> list[dict]:
         """``ensemble`` overrides that cover the experiment's grid.

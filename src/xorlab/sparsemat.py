@@ -7,10 +7,10 @@ row, values in [1, q)), plus ``n_cols`` and a field reference.  Its
 constructor validates the arrays once and freezes them; generation,
 peeling, elimination and warning propagation read them directly, and
 ``rows`` gives the (column, value) pairs per row for callers that want
-them.  On top of the
-canonical reduced row echelon form (unique, so independent of the
-elimination engine) this module derives ranks, kernel bases, exact
-uniform kernel sampling, frozen variables, relation tests, the
+them.  On top of the canonical reduced row echelon form (unique, so
+independent of the elimination engine) this module derives ranks,
+kernel bases, the row combinations and left kernel read off [A | I],
+exact uniform kernel sampling, frozen variables, relation tests, the
 (delta, ell)-freeness audit, and balance profiles of kernel vectors.
 
 Everything here is pure; matrices can be shared freely across threads
@@ -189,18 +189,33 @@ class KernelBasis:
         """One exactly-uniform kernel vector.
 
         Consumes ``dimension`` uniform draws from ``rng`` (one per free
-        column, in increasing column order) and back-substitutes the
-        pivots, which is the same as taking the corresponding
-        combination of basis vectors.
+        column, in increasing column order) and returns the combination
+        of basis vectors they give: the basis rows are grouped by their
+        nonzero coefficient, each group is summed at once, and each sum
+        is scaled by its coefficient.
         """
         f = self.field
-        n = self.basis.shape[1]
         coeffs = rng.integers(0, f.q, size=self.dimension)
-        sigma = np.zeros(n, dtype=np.int64)
-        for c, vec in zip(coeffs, self.basis):
+        sigma = np.zeros(self.basis.shape[1], dtype=np.int64)
+        order = np.argsort(coeffs)
+        values, starts = np.unique(coeffs[order], return_index=True)
+        for c, group in zip(values.tolist(), np.split(order, starts[1:])):
             if c:
-                sigma = f.add_arrays(sigma, f.mul_scalar_array(int(c), vec))
+                sigma = f.add_arrays(sigma, f.mul_scalar_array(c, _field_sum(f, self.basis[group])))
         return sigma
+
+
+def _field_sum(field: Field, rows: np.ndarray) -> np.ndarray:
+    """Sum over GF(q) of integer-encoded rows: digit-wise mod p, which is XOR for p = 2."""
+    if field.p == 2:
+        return np.bitwise_xor.reduce(rows, axis=0)
+    if field.e == 1:
+        return rows.sum(axis=0) % field.p
+    out, weight, elements = 0, 1, np.arange(field.q)
+    for _ in range(field.e):
+        out = out + (elements // weight % field.p)[rows].sum(axis=0) % field.p * weight
+        weight *= field.p
+    return out
 
 
 def _elim(A: SparseMatrix, *, reduced: bool):
@@ -218,6 +233,47 @@ def rref(A: SparseMatrix) -> RrefResult:
     res = _elim(A, reduced=True)
     mat = SparseMatrix.from_dense(A.field, res.pivot_values)
     return RrefResult(mat, res.rank, res.pivot_cols)
+
+
+@dataclass(frozen=True, eq=False)
+class AugmentedRref:
+    """The RREF of [A | I], split into what it says about A.
+
+    ``rows[r]`` is the RREF row of A with pivot ``pivot_cols[r]`` and
+    ``transform[r]`` the row combination giving it
+    (``transform[r] @ A == rows[r]``); the rows of ``left_kernel`` are a
+    basis of {y : y A = 0}.  All values are integer-encoded.
+    """
+
+    pivot_cols: np.ndarray  # (rank,)
+    rows: np.ndarray  # (rank, n_cols)
+    transform: np.ndarray  # (rank, n_rows)
+    left_kernel: np.ndarray  # (n_rows - rank, n_rows)
+
+    @property
+    def redundant_rows(self) -> np.ndarray:
+        """(n_rows,) mask of the rows in the span of the other rows (zero rows too)."""
+        return np.any(self.left_kernel != 0, axis=0)
+
+
+def augmented_rref(A: SparseMatrix) -> AugmentedRref:
+    """One reduced elimination of [A | I_{n_rows}].
+
+    Its pivots in the A block are A's pivots and its rows there carry
+    A's RREF in the A block and the combination that made them in the
+    identity block; the rows whose pivot lies in the identity block are
+    zero on A, so their identity part spans the left kernel.
+    """
+    m, n = A.n_rows, A.n_cols
+    entries = (np.concatenate([A.entry_rows, np.arange(m)]),
+               np.concatenate([A.cols, n + np.arange(m)]),
+               np.concatenate([A.vals, np.ones(m, dtype=np.int64)]))
+    res = eliminate(A.field, entries, m, n + m, reduced=True)
+    pivot_cols = np.array(res.pivot_cols, dtype=np.int64)
+    in_a = pivot_cols < n
+    values = res.pivot_values
+    return AugmentedRref(pivot_cols[in_a], values[in_a, :n], values[in_a, n:],
+                         values[~in_a, n:])
 
 
 def rank(A: SparseMatrix) -> int:

@@ -8,6 +8,9 @@ extraction (with the intermediate "slush" label), per-node message
 statistics, and the checkable predicates for approximate fixed points
 and kernel-vector extensions.
 
+Every row minor's frozen set comes from one elimination of [A | I]: its
+left kernel and e_j's row combination span all y with y A in span(e_j).
+
 Update conventions at empty quantifiers: a degree-1 variable sends
 'unfrozen' to its only check (empty existential), a degree-1 check sends
 'frozen' to its only variable (empty universal).  This makes pinning
@@ -21,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from xorlab import theory
-from xorlab.sparsemat import BudgetExceededError, SparseMatrix, frozen_set, minor
+from xorlab.sparsemat import BudgetExceededError, SparseMatrix, augmented_rref
 
 LABEL_U, LABEL_S, LABEL_F = 0, 1, 2
 
-# cost guard for the exact standard messages: (rows + edges) eliminations
-# of an n_rows x n_cols matrix each
+# size guard for the exact standard messages: standard_messages refuses
+# when (rows + edges) * rows * cols exceeds it
 STANDARD_BUDGET = 2_000_000_000
 
 
@@ -100,8 +103,17 @@ def standard_messages(A: SparseMatrix, *, budget: int = STANDARD_BUDGET) -> Mess
 
     Variable j tells check i whether j is frozen once row i is deleted;
     check i tells variable j whether j is frozen once all of j's other
-    rows are deleted.  Every message costs one exact elimination, so the
-    guard refuses when (rows + edges) * rows * cols exceeds the budget.
+    rows are deleted.  Both are read off one elimination of [A | I]
+    (:func:`~xorlab.sparsemat.augmented_rref`):
+
+    - e_j survives deleting row i iff it lies in the row space and row i
+      is redundant or has coefficient 0 in e_j's combination;
+    - e_j survives deleting j's other rows iff some y with y A in
+      span(e_j) is nonzero at i and zero on those rows, which one small
+      elimination per variable decides.
+
+    The guard refuses when (rows + edges) * rows * cols exceeds the
+    budget.
     """
     G = TannerGraph(A)
     cost = (A.n_rows + G.n_edges + 1) * max(A.n_rows, 1) * max(A.n_cols, 1)
@@ -110,20 +122,28 @@ def standard_messages(A: SparseMatrix, *, budget: int = STANDARD_BUDGET) -> Mess
             f"standard messages would cost ~{cost} elementary operations"
             f" (budget {budget}); intended for small instances"
         )
-    vc = np.zeros(G.n_edges, dtype=bool)
+    aug = augmented_rref(A)
+    # j is frozen iff its RREF row is e_j; rep[j] indexes that row, -1 if none
+    rep = np.full(A.n_cols, -1, dtype=np.int64)
+    unit = np.count_nonzero(aug.rows, axis=1) == 1
+    rep[aug.pivot_cols[unit]] = np.flatnonzero(unit)
+    # every y with y A = e_j has the same value at a non-redundant row
+    r, checks = rep[G.edge_var], G.edge_check
+    vc = r >= 0
+    vc[vc] = aug.redundant_rows[checks[vc]] | (aug.transform[r[vc], checks[vc]] == 0)
+    # y A in span(e_j) iff y lies in the span of W_j: the left kernel, plus
+    # e_j's combination when j is frozen; check i freezes j iff, with W_j
+    # cut to j's checks and transposed, i's row is outside the others' span
     cv = np.zeros(G.n_edges, dtype=bool)
-    for i in range(A.n_rows):
-        frozen = frozen_set(minor(A, {i}, ()).matrix)
-        for e in G.check_edges(i):
-            vc[e] = int(G.edge_var[e]) in frozen
-    # group edges by variable to build each "all other rows removed" minor
-    for j in range(A.n_cols):
-        incident = np.flatnonzero(G.edge_var == j)
-        for e in incident:
-            i = int(G.edge_check[e])
-            others = {int(G.edge_check[e2]) for e2 in incident} - {i}
-            frozen = frozen_set(minor(A, others, ()).matrix)
-            cv[e] = j in frozen
+    by_var = np.argsort(G.edge_var, kind="stable")
+    bounds = np.append(0, np.cumsum(G.var_degree))
+    for j in np.flatnonzero(G.var_degree).tolist():
+        edges = by_var[bounds[j]:bounds[j + 1]]
+        W = aug.left_kernel[:, checks[edges]]
+        if rep[j] >= 0:
+            W = np.vstack([W, aug.transform[rep[j], checks[edges]]])
+        if W.any():
+            cv[edges] = ~augmented_rref(SparseMatrix.from_dense(A.field, W.T)).redundant_rows
     return MessageSet(vc, cv)
 
 

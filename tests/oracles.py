@@ -288,3 +288,39 @@ def loop_bracket_starts(vals) -> list[int]:
         if s == 0 or (s != nxt and nxt != 0):
             out.append(i)
     return out
+
+
+# -- per-minor standard messages and per-vector kernel samples -------------------
+
+
+def reference_standard_messages(A):
+    """``wp.standard_messages`` as first written: one frozen set per row and per edge."""
+    from xorlab.sparsemat import frozen_set, minor
+    from xorlab.wp import MessageSet, TannerGraph
+
+    G = TannerGraph(A)
+    vc = np.zeros(G.n_edges, dtype=bool)
+    cv = np.zeros(G.n_edges, dtype=bool)
+    for i in range(A.n_rows):
+        frozen = frozen_set(minor(A, {i}, ()).matrix)
+        for e in G.check_edges(i):
+            vc[e] = int(G.edge_var[e]) in frozen
+    for j in range(A.n_cols):
+        incident = np.flatnonzero(G.edge_var == j)
+        for e in incident:
+            i = int(G.edge_check[e])
+            others = {int(G.edge_check[e2]) for e2 in incident} - {i}
+            frozen = frozen_set(minor(A, others, ()).matrix)
+            cv[e] = j in frozen
+    return MessageSet(vc, cv)
+
+
+def reference_kernel_sample(kb, rng):
+    """``KernelBasis.sample`` as first written: one add and one scale per basis vector."""
+    f = kb.field
+    coeffs = rng.integers(0, f.q, size=kb.dimension)
+    sigma = np.zeros(kb.basis.shape[1], dtype=np.int64)
+    for c, vec in zip(coeffs, kb.basis):
+        if c:
+            sigma = f.add_arrays(sigma, f.mul_scalar_array(int(c), vec))
+    return sigma

@@ -332,6 +332,31 @@ def test_cli_bad_ensemble_exit_2(tmp_path, capsys, override, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"q": 6}, "6 is not a prime power"),
+        ({"experiment": "wp-stats", "d": 25}, "d in (0, 20.0]"),
+        ({"experiment": "wp-stats", "k": 17}, "k <= 16"),
+        ({"experiment": "threshold-scan", "d": None, "k": 17}, "k <= 16"),
+    ],
+    ids=["q6", "wp-stats-d25", "wp-stats-k17", "threshold-scan-k17"],
+)
+def test_cli_outside_field_or_theory_exit_2(tmp_path, capsys, override, message):
+    cfg = write_config(tmp_path, **override)
+    command = override.get("experiment", "rank-profile")
+    code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_rank_profile_accepts_k_beyond_theory():
+    # only experiments that evaluate the theory are held to its k range
+    ExperimentConfig(experiment="rank-profile", n=40, k=17, d=2.0, trials=1)
+
+
 def test_cli_short_explicit_table_exit_2(tmp_path, capsys):
     config = {"experiment": "rank-profile", "n": 10, "k": 3, "q": 3, "d": 1.5, "trials": 1,
               "seed": 1, "scheme": {"kind": "explicit", "rows": [[1, 2]]}}

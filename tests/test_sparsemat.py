@@ -9,6 +9,7 @@ from xorlab.field import build_field
 from xorlab.sparsemat import (
     BudgetExceededError,
     SparseMatrix,
+    augmented_rref,
     balance_distance,
     balance_profile,
     freeness_audit,
@@ -31,6 +32,7 @@ from tests.oracles import (
     enumerate_kernel,
     enumerate_kernel_from_basis,
     random_sparse,
+    reference_kernel_sample,
     reference_minor,
     reference_rref,
     reference_stack_rows,
@@ -298,6 +300,51 @@ def test_sample_kernel_chi_squared(q, rows, n):
     assert counts.sum() == draws  # every draw lands in the kernel
     p_value = scipy.stats.chisquare(counts).pvalue
     assert p_value > 1e-3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 37])
+def test_kernel_sample_matches_per_vector_reference(q):
+    f = build_field(q)
+    rng = np.random.default_rng(q)
+    for _ in range(6):
+        A = random_sparse(f, int(rng.integers(0, 12)), int(rng.integers(1, 30)), rng, 0.2)
+        kb = kernel_basis(A)
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(5):
+            assert np.array_equal(kb.sample(ours), reference_kernel_sample(kb, ref))
+        assert ours.integers(0, 2**62) == ref.integers(0, 2**62)  # same draws consumed
+
+
+def _left_mul(f, y, A):
+    """y A over the field, through the transpose's matvec."""
+    return SparseMatrix.from_dense(f, A.to_dense().T).matvec(y)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 37])
+def test_augmented_rref_against_definitions(q):
+    f = build_field(q)
+    rng = np.random.default_rng(100 + q)
+    for trial in range(12):
+        A = random_sparse(f, int(rng.integers(0, 9)), int(rng.integers(1, 9)), rng)
+        if trial % 3 == 0 and A.n_rows >= 2:  # a duplicated row
+            A = stack_rows(A, [A.rows[0]])
+        aug = augmented_rref(A)
+        expected, rk, pivots = reference_rref(A)
+        assert aug.pivot_cols.tolist() == pivots
+        assert np.array_equal(aug.rows, expected[:rk])
+        for y, row in zip(aug.transform, aug.rows):
+            assert np.array_equal(_left_mul(f, y, A), row)
+        assert aug.left_kernel.shape == (A.n_rows - rk, A.n_rows)
+        for y in aug.left_kernel:
+            assert not _left_mul(f, y, A).any()
+        redundant = [rank(minor(A, {i}, ()).matrix) == rk for i in range(A.n_rows)]
+        assert aug.redundant_rows.tolist() == redundant
+
+
+def test_augmented_rref_empty():
+    aug = augmented_rref(SparseMatrix.zero(GF3, 0, 4))
+    assert aug.rows.shape == (0, 4) and aug.transform.shape == (0, 0)
+    assert aug.left_kernel.shape == (0, 0) and aug.redundant_rows.size == 0
 
 
 # -- balance profile ---------------------------------------------------------

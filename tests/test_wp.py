@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from xorlab.ensemble import EnsembleParams, gen_base, gen_pinned
+from xorlab.ensemble import EnsembleParams, SeededNonzero, gen_base, gen_pinned
 from xorlab.field import build_field
 from xorlab.sparsemat import BudgetExceededError, SparseMatrix, frozen_set
 from xorlab.wp import (
@@ -26,7 +31,11 @@ from xorlab.wp import (
     wp_update,
 )
 
-from tests.oracles import random_acyclic_pinned, reference_wp_stats
+from tests.oracles import (
+    random_acyclic_pinned,
+    reference_standard_messages,
+    reference_wp_stats,
+)
 
 GF2 = build_field(2)
 
@@ -82,6 +91,48 @@ def test_standard_messages_budget():
     A = gen_base(p, p.make_rng())
     with pytest.raises(BudgetExceededError):
         standard_messages(A)
+
+
+def test_standard_messages_match_reference_on_pinned_instances():
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        q = (2, 3, 4, 5, 9)[trial % 5]
+        n = int(rng.integers(3, 21))
+        p = EnsembleParams(n=n, k=3, q=q, d=float(rng.uniform(0.5, 3.5)),
+                           scheme=SeededNonzero(trial), seed=trial)
+        A, _ = gen_pinned(p, np.random.default_rng(trial))
+        assert standard_messages(A) == reference_standard_messages(A), (q, n)
+
+
+DENSE_CASES = {
+    "no-rows": np.zeros((0, 4), dtype=np.int64),
+    "empty-row": [[1, 1, 0], [0, 0, 0], [0, 1, 1]],
+    "duplicated-row": [[1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 1, 0]],
+    "degree-0-variable": [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]],
+    "full-column-rank": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("q", [8, 27, 37])
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_standard_messages_match_reference_on_dense_cases(q, case):
+    f = build_field(q)
+    rng = np.random.default_rng(q)
+    dense = np.asarray(DENSE_CASES[case], dtype=np.int64)
+    # each row times a nonzero scalar: the same pattern and row space, other values
+    scaled = np.array([f.mul_scalar_array(int(c), row)
+                       for c, row in zip(rng.integers(1, q, size=len(dense)), dense)],
+                      dtype=np.int64).reshape(dense.shape)
+    for D in (dense, scaled):
+        A = SparseMatrix.from_dense(f, D)
+        assert standard_messages(A) == reference_standard_messages(A)
+    if case == "full-column-rank":
+        msgs = standard_messages(A)
+        assert frozen_set(A) == {0, 1, 2} and msgs.var_to_check.any()
+    for _ in range(4):  # random dense patterns of the same shape
+        D = rng.integers(0, q, size=dense.shape) * (rng.random(dense.shape) < 0.6)
+        A = SparseMatrix.from_dense(f, D)
+        assert standard_messages(A) == reference_standard_messages(A)
 
 
 def test_all_u_is_fixed_point_when_check_degrees_ge2():
@@ -286,3 +337,12 @@ def test_message_csv_and_stats_json():
     for key in blob["delta"]:
         z, ell = key.split("/")
         assert z in "usf" and len(ell.split("-")) == 4
+
+
+def test_warning_propagation_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "demos" / "05_warning_propagation.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "exact standard messages" in proc.stdout
