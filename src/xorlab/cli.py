@@ -12,7 +12,8 @@ Subcommands mirror the experiments plus two utilities:
     audit-freeness  short-relation audit of pinned instances
     dump-matrix     generate one instance and dump it in text format
 
-Exit codes: 0 success, 2 config errors, 3 budget refusals, 4 I/O errors,
+Exit codes: 0 success, 2 config errors (an explicit table that runs out
+mid-run among them), 3 budget refusals, 4 I/O errors,
 5 threshold-scan bracket failures (the bracket does not straddle the
 full-rank crossing).
 """
@@ -25,7 +26,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from xorlab.ensemble import gen_base, gen_pinned
+from xorlab.ensemble import ExplicitTableError, gen_base, gen_pinned
 from xorlab.harness import (
     EXPERIMENTS,
     BracketError,
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
             return _cmd_dump_matrix(args)
         config = _load_config(args, args.command)
         return run(config, fmt=args.format)
-    except ConfigError as exc:
+    except (ConfigError, ExplicitTableError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -127,6 +127,10 @@ class SeededNonzero:
         return hash((self.kind, self.seed))
 
 
+class ExplicitTableError(ValueError):
+    """An explicit table cannot supply a nonzero GF(q) entry at an address the run draws."""
+
+
 class ExplicitTable:
     """A finite prefix of the coefficient matrix, indexed [row][col].
 
@@ -145,11 +149,9 @@ class ExplicitTable:
         try:
             v = self.rows[row][col]
         except IndexError:
-            raise ValueError(
-                f"explicit table has no entry at ({row}, {col})"
-            ) from None
+            raise ExplicitTableError(f"explicit table has no entry at ({row}, {col})") from None
         if not 1 <= v < field.q:
-            raise ValueError(f"{v} is not a nonzero element of GF({field.q})")
+            raise ExplicitTableError(f"{v} is not a nonzero element of GF({field.q})")
         return v
 
     def coefficients(self, field: Field, rows, cols) -> np.ndarray:

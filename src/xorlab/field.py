@@ -31,23 +31,8 @@ import numpy as np
 TABLE_LIMIT = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise ValueError."""
+    """Return (p, e) with q = p^e, or raise ValueError; p, the smallest divisor, is prime."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     p = 2
@@ -145,8 +130,6 @@ class Field:
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
-        if not _is_prime(p):
-            raise ValueError(f"{q} is not a prime power")
         if e > 1 and q > TABLE_LIMIT:
             raise ValueError(
                 f"extension field GF({q}) exceeds the table limit {TABLE_LIMIT}"

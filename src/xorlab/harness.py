@@ -23,9 +23,11 @@ import csv
 import json
 import math
 import time
+import types
+import typing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dfield, fields as dfields
+from dataclasses import asdict, dataclass, field as dfield, fields as dfields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,36 @@ _THEORY_AT_K = ("threshold-scan", "peel", "wp-stats", "interpolate")
 _THEORY_AT_D = ("wp-stats", "interpolate")
 
 
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the annotated type; a bool is neither an int nor a float.
+
+    A ``list[T]`` accepts a list or tuple of T values, and a
+    ``tuple[A, B]`` one of exactly two values.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(obj) -> None:
+    """ConfigError unless every field of the dataclass ``obj`` (nested ones too) has its annotated type."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dfields(obj):
+        value = getattr(obj, f.name)
+        if not _conforms(value, hints[f.name]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if is_dataclass(value):
+            _check_types(value)
+
+
 def _check_explicit_table(params: EnsembleParams) -> None:
     """An explicit table must hold the m_rows x n block that the base rows address."""
     if isinstance(params.scheme, ExplicitTable):
@@ -116,6 +148,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        _check_types(self)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.wp_mode not in ("exact", "iterate"):
@@ -530,7 +563,7 @@ def _measure_balance(config, _, rng):
     A, t_pins = gen_pinned(params, rng)
     kb = kernel_basis(A)
     n, q = params.n, params.q
-    unfrozen = np.any(kb.basis != 0, axis=0) if kb.dimension else np.zeros(n, dtype=bool)
+    unfrozen = ~kb.frozen
     alpha_hat = 1.0 - unfrozen.mean()
     deg = np.bincount(A.cols, minlength=n)
     l2s, l1s, imbalances = [], [], []

@@ -185,6 +185,11 @@ class KernelBasis:
     free_cols: tuple[int, ...]
     field: Field = dfield(repr=False, default=None)
 
+    @property
+    def frozen(self) -> np.ndarray:
+        """(n_cols,) mask of the columns where every basis vector is zero (all, if dimension 0)."""
+        return ~np.any(self.basis != 0, axis=0)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One exactly-uniform kernel vector.
 
@@ -309,11 +314,7 @@ def frozen_set(A: SparseMatrix) -> frozenset[int]:
     Equivalently the complement of the union of supports of the kernel
     basis vectors.
     """
-    kb = kernel_basis(A)
-    if kb.dimension == 0:
-        return frozenset(range(A.n_cols))
-    touched = np.any(kb.basis != 0, axis=0)
-    return frozenset(int(j) for j in np.flatnonzero(~touched))
+    return frozenset(np.flatnonzero(kernel_basis(A).frozen).tolist())
 
 
 def sample_kernel(A: SparseMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -392,7 +393,7 @@ def freeness_audit(
     f = A.field
     kb = kernel_basis(A)
     K = kb.basis  # (dim, n); column j is the kernel profile of variable j
-    frozen = np.all(K == 0, axis=0) if kb.dimension else np.ones(n, dtype=bool)
+    frozen = kb.frozen
     n_frozen = int(frozen.sum())
     unfrozen = np.flatnonzero(~frozen)
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.stats
 
 from xorlab.field import Field
 from xorlab.sparsemat import BudgetExceededError
@@ -291,7 +290,10 @@ def predicted_node_stats(d: float, k: int, alpha: float):
 
 
 def po_pmf(lam: float, j: int) -> float:
-    return float(scipy.stats.poisson.pmf(j, lam)) if lam > 0 else float(j == 0)
+    """P[Po(lam) = j]; lam = 0 is the point mass at 0."""
+    if lam <= 0:
+        return float(j == 0)
+    return math.exp(j * math.log(lam) - math.lgamma(j + 1) - lam)
 
 
 def po_ge2_pmf(lam: float, j: int) -> float:
@@ -300,15 +302,17 @@ def po_ge2_pmf(lam: float, j: int) -> float:
         raise ValueError("lambda must be >= 0")
     if j < 2:
         return 0.0
-    if lam < 1e-6:
-        # series guard: tail = lam^2/2 - lam^3/3 + lam^4/8 - ...
-        if j == 2:
-            tail_over = 1.0 - 2.0 * lam / 3.0 + lam * lam / 4.0
-            return math.exp(-lam) / tail_over
-        tail = lam * lam / 2.0 * (1.0 - 2.0 * lam / 3.0 + lam * lam / 4.0)
-        return float(scipy.stats.poisson.pmf(j, lam)) / tail if tail > 0 else 0.0
-    tail = 1.0 - math.exp(-lam) * (1.0 + lam)
-    return float(scipy.stats.poisson.pmf(j, lam)) / tail
+    if lam >= 1.0:
+        return po_pmf(lam, j) / (1.0 - math.exp(-lam) * (1.0 + lam))
+    # series guard: 1 - e^-lam (1 + lam) cancels as lam -> 0 (2e-6 relative
+    # error at lam = 1e-5), so divide 2 lam^(j-2) / j! by the positive series
+    # sum_{i >= 2} 2 lam^(i-2) / i! = 1 + lam/3 + lam^2/12 + ...
+    total, term, i = 0.0, 1.0, 2
+    while total + term != total:
+        total += term
+        i += 1
+        term *= lam / i
+    return lam ** (j - 2) * math.exp(math.lgamma(3) - math.lgamma(j + 1)) / total
 
 
 def bin_ge2_pmf(n: int, p: float, j: int) -> float:
@@ -319,11 +323,12 @@ def bin_ge2_pmf(n: int, p: float, j: int) -> float:
         return 0.0
     if p == 0.0:
         return float(j == 2)
-    pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, p)
-    tail = float(pmf[2:].sum())
+    # the tail sums the i >= 2 terms rather than subtracting from 1, so small p does not cancel
+    pmf = [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(2, n + 1)]
+    tail = math.fsum(pmf)
     if tail <= 0.0:
         return float(j == 2)
-    return float(pmf[j]) / tail
+    return pmf[j - 2] / tail
 
 
 # message-profile vectors ell = (l_uu, l_uf, l_fu, l_ff); the first index

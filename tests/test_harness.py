@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from xorlab.harness import (
     run_experiment,
     write_result,
 )
+import xorlab
 from xorlab.cli import main as cli_main
 
 
@@ -352,6 +354,33 @@ def test_cli_outside_field_or_theory_exit_2(tmp_path, capsys, override, message)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"trials": 1.5}, "trials must be int, got 1.5"),
+        ({"trials": True}, "trials must be int, got True"),
+        ({"n": "50"}, "n must be int, got '50'"),
+        ({"experiment": "threshold-scan", "bracket": [0.9]}, "bracket must be tuple[float, float]"),
+        ({"tolerances": {"tol_fp": None}}, "tol_fp must be float, got None"),
+    ],
+    ids=["trials-float", "trials-bool", "n-string", "bracket-one-value", "tolerance-null"],
+)
+def test_cli_wrong_type_exit_2(tmp_path, capsys, override, message):
+    cfg = write_config(tmp_path, **override)
+    command = override.get("experiment", "rank-profile")
+    code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_config_types_accept_ints_as_floats_and_tuples_as_lists():
+    small_config(d=2, d_grid=(1, 2.5), bracket=[0.8, 1])
+    with pytest.raises(ConfigError, match="pinned must be bool"):
+        small_config(pinned=1)
+
+
 def test_rank_profile_accepts_k_beyond_theory():
     # only experiments that evaluate the theory are held to its k range
     ExperimentConfig(experiment="rank-profile", n=40, k=17, d=2.0, trials=1)
@@ -367,6 +396,18 @@ def test_cli_short_explicit_table_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("config error:") and "explicit table" in err
     assert err.count("\n") == 1
+
+
+def test_cli_explicit_table_overrun_exit_2(tmp_path, capsys):
+    # the table holds the m_rows = 12 rows the config addresses, but the
+    # theta = 0 family draws Po(12) weight-3 rows, more than 12 here
+    rows = [[1 + (i + j) % 2 for j in range(12)] for i in range(12)]
+    cfg = write_config(tmp_path, experiment="interpolate", n=12, q=3, d=3.0, trials=8, seed=1,
+                       theta_grid=[0.0], scheme={"kind": "explicit", "rows": rows})
+    code = cli_main(["interpolate", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: explicit table has no entry at (12, 0)\n"
 
 
 @pytest.mark.parametrize(
@@ -433,6 +474,15 @@ def test_cli_seed_override(tmp_path, capsys):
     assert cli_main(["dump-matrix", "--config", str(cfg), "--seed", "3"]) == 0
     b = capsys.readouterr().out
     assert a != b
+
+
+def test_cli_loads_no_scipy():
+    code = ("import json, sys, xorlab.cli; xorlab.cli.main(['threshold', '--k', '3']); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    src = str(Path(xorlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_console_script_installed():

@@ -21,6 +21,7 @@ from xorlab.theory import (
     in_variable_class,
     phi,
     po_ge2_pmf,
+    po_pmf,
     predicted_detail,
     predicted_detail_tables,
     predicted_node_stats,
@@ -242,6 +243,34 @@ def test_po_ge2_pmf():
     assert total == pytest.approx(1.0, abs=1e-12)
     # tiny-lambda limit: point mass at 2
     assert po_ge2_pmf(1e-9, 2) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_poisson_laws_match_scipy():
+    # over the theory box; scipy's own pmf goes subnormal below 1e-290, so those points are skipped
+    assert [po_pmf(0.0, j) for j in range(3)] == [1.0, 0.0, 0.0]
+    assert [po_ge2_pmf(0.0, j) for j in range(4)] == [0.0, 0.0, 1.0, 0.0]
+    js = np.arange(81)
+    for lam in [*np.geomspace(1e-9, 1.0, 37), *np.linspace(0.05, 20.0, 120)]:
+        pmf = scipy.stats.poisson.pmf(js, lam)
+        ge2 = np.where(js >= 2, pmf / scipy.stats.poisson.sf(1, lam), 0.0)
+        for j in js[pmf >= 1e-290].tolist():
+            assert po_pmf(lam, j) == pytest.approx(pmf[j], rel=1e-12, abs=0)
+            assert po_ge2_pmf(lam, j) == pytest.approx(ge2[j], rel=1e-12, abs=0)
+
+
+def test_bin_ge2_matches_scipy():
+    ps = [0.0, 1.0, *np.geomspace(1e-12, 1.0, 25), *np.linspace(0.0, 1.0, 41),
+          *(1.0 - np.geomspace(1e-12, 0.5, 13))]
+    for n in range(3, 17):
+        js = np.arange(n + 2)
+        for p in ps:
+            pmf = scipy.stats.binom.pmf(js, n, p)
+            if p > 0:
+                expected = np.where(js >= 2, pmf / scipy.stats.binom.sf(1, n, p), 0.0)
+            else:
+                expected = (js == 2).astype(float)
+            for j in js.tolist():
+                assert bin_ge2_pmf(n, p, j) == pytest.approx(expected[j], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,p", [(3, 0.4), (6, 0.15), (10, 0.7), (8, 0.01)])
