@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xorlab.field import Field, build_field
-from xorlab.sparsemat import SparseMatrix, stack_rows
+from xorlab.sparsemat import SparseMatrix, rank, stack_rows
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -381,8 +381,6 @@ def xorsat_instance(
 
 def is_solvable(A: SparseMatrix, y) -> bool:
     """rank(A) == rank(A | y), via one elimination of the augmented matrix."""
-    from xorlab.sparsemat import rank
-
     y = np.asarray(y, dtype=np.int64)
     extra = np.flatnonzero(y)
     order = np.argsort(np.append(A.entry_rows, extra), kind="stable")  # y_i ends row i

@@ -27,7 +27,7 @@ import types
 import typing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dfield, fields as dfields, is_dataclass
+from dataclasses import asdict, dataclass, field as dfield, fields as dfields
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,7 @@ from xorlab.theory import D_MAX, K_MAX, Phi, fixed_points, threshold_dk, thresho
 from xorlab.wp import (
     LABEL_U,
     TannerGraph,
+    degree_imbalance,
     fixed_point_violations,
     labels,
     standard_messages,
@@ -69,13 +70,6 @@ class ConfigError(ValueError):
 
 class BracketError(RuntimeError):
     """A scan's bracketing precondition failed."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_fp: float = 0.1
-    tol_stats: float = 0.1
-    tol_balance: float = 0.05
 
 
 # experiments that evaluate the closed-form theory at k, and those that also take d
@@ -103,14 +97,12 @@ def _conforms(value, hint) -> bool:
 
 
 def _check_types(obj) -> None:
-    """ConfigError unless every field of the dataclass ``obj`` (nested ones too) has its annotated type."""
+    """ConfigError unless every field of the dataclass ``obj`` has its annotated type."""
     hints = typing.get_type_hints(type(obj))
     for f in dfields(obj):
         value = getattr(obj, f.name)
         if not _conforms(value, hints[f.name]):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if is_dataclass(value):
-            _check_types(value)
 
 
 def _check_explicit_table(params: EnsembleParams) -> None:
@@ -137,7 +129,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     wp_mode: str = "iterate"
-    tolerances: Tolerances = dfield(default_factory=Tolerances)
     d_grid: list[float] | None = None
     n_grid: list[int] | None = None
     theta_grid: list[float] | None = None
@@ -219,8 +210,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         kwargs = dict(raw)
         try:
-            if "tolerances" in kwargs:
-                kwargs["tolerances"] = Tolerances(**kwargs["tolerances"])
             if "bracket" in kwargs:
                 kwargs["bracket"] = tuple(kwargs["bracket"])
             return cls(**kwargs)
@@ -451,10 +440,6 @@ def exp_threshold_scan(config: ExperimentConfig) -> ExperimentResult:
 # -- WP statistics ---------------------------------------------------------------
 
 
-def _alpha_theory(d: float, k: int) -> float:
-    return fixed_points(d, k)[2] if d > threshold_dk_star(k) else 0.0
-
-
 def _measure_wp(config, alpha_th, rng):
     """One WP trial; its (delta, gamma, weight-k checks) tables travel with the row."""
     params = config.ensemble()
@@ -526,7 +511,7 @@ def exp_wp_stats(config: ExperimentConfig) -> ExperimentResult:
     trial-averaged statistics (the systematic part).
     """
     d = config.ensemble().density
-    alpha_th = _alpha_theory(d, config.k)
+    alpha_th = fixed_points(d, config.k)[2]
     [outputs] = run_grid(config, _measure_wp, [alpha_th])
     trials = [row for row, _ in outputs]
     summary = [
@@ -571,12 +556,7 @@ def _measure_balance(config, _, rng):
         sigma = kb.sample(rng)
         l2s.append(balance_distance(sigma, q, "l2"))
         l1s.append(balance_distance(sigma, q, "l1"))
-        imb = 0.0
-        for dval in np.unique(deg[unfrozen]):
-            sel = unfrozen & (deg == dval)
-            counts = np.bincount(sigma[sel], minlength=q)
-            imb += sum(abs(counts[s] - sel.sum() / q) for s in range(1, q))
-        imbalances.append(imb / n)
+        imbalances.append(degree_imbalance(sigma, deg, unfrozen, q) / n)
     return params, {
         "t": t_pins,
         "nullity": kb.dimension,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xorlab.sparsemat import Minor, SparseMatrix, minor
+from xorlab.sparsemat import Minor, SparseMatrix, minor, rank
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,6 @@ def rank_via_core(A: SparseMatrix) -> int:
     Equivalent to eliminating A directly, but much cheaper when peeling
     removes a large fraction of the matrix.
     """
-    from xorlab.sparsemat import rank
-
     res = two_core(A)
     return len(res.removed_rows) + rank(res.core.matrix)
 
@@ -107,6 +105,4 @@ def has_full_row_rank(A: SparseMatrix) -> bool:
         return False
     if res.core_rows == 0:
         return True
-    from xorlab.sparsemat import rank
-
     return rank(res.core.matrix) == res.core_rows

@@ -20,6 +20,7 @@ and worker processes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
@@ -355,15 +356,6 @@ class FreenessAudit:
     thresholds: dict[int, float]  # delta * C(N, h)
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _projective_rep(field: Field, col: np.ndarray) -> tuple[int, ...]:
     lead = int(col[np.flatnonzero(col)[0]])
     return tuple(int(x) for x in field.mul_scalar_array(field.inv(lead), col))
@@ -434,7 +426,7 @@ def freeness_audit(
                 c += 1
         counts[h] = c
 
-    thresholds = {h: delta * _binom(n, h) for h in counts}
+    thresholds = {h: delta * math.comb(n, h) for h in counts}
     is_free = all(counts[h] < thresholds[h] for h in counts)
     return FreenessAudit(is_free, counts, thresholds)
 

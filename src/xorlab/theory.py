@@ -12,6 +12,8 @@ whose stationary points are exactly the fixed points of phi.  The
 full-rank threshold d_k is the largest d at which the global maximum of
 Phi on [0, 1] still sits at a = 0 (where Phi(0) = 1 - d/k); the smaller
 critical density d_k^* is where a positive fixed point first appears.
+A positive a is a fixed point exactly when d = d(a) = -ln(1-a)/a^(k-1),
+so the fixed points, d_k^* and d_k are each one bisection in a.
 
 The module also evaluates the predicted warning-propagation node
 statistics: per-label node fractions, the per-(label, message-profile)
@@ -36,7 +38,6 @@ from xorlab.sparsemat import BudgetExceededError
 
 D_MAX = 20.0
 K_MAX = 16
-_GRID_POINTS = 10_000
 
 # label symbols for variable / check classes
 U, S, F = "u", "s", "f"
@@ -85,140 +86,77 @@ def Phi_second(d: float, k: int, alpha: float) -> float:
     return first - d * (k - 1) * alpha ** (k - 2) * (1.0 - php)
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (flo > 0):
+def _root(f, lo: float, hi: float) -> float:
+    """Where f turns from negative to non-negative on (lo, hi), to adjacent doubles.
+
+    The bisection evaluates only interior points, so f may be undefined
+    at the ends.
+    """
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
-def _bracket_starts(vals: np.ndarray) -> np.ndarray:
-    """Interior indices i where vals[i] = 0, or vals changes sign to a nonzero vals[i + 1]."""
-    s, nxt = np.sign(vals[1:-1]), np.sign(vals[2:])
-    return np.flatnonzero((s == 0) | ((s != nxt) & (nxt != 0))) + 1
+def _density_at(k: int, a: float) -> float:
+    """d(a) = -ln(1 - a) / a^(k-1), the one density at which a in (0, 1) is a fixed point of phi."""
+    return -math.log1p(-a) / a ** (k - 1)
 
 
-def fixed_points(d: float, k: int, tol: float = 1e-12) -> tuple[float, float, float]:
+def _critical_alpha(k: int) -> float:
+    """The minimizer alpha_c of d(a) on (0, 1).
+
+    d'(a) has the sign of a + (k-1)(1-a) ln(1-a), which is convex, zero at
+    a = 0 with slope 2 - k < 0, and positive at a = 1.
+    """
+    return _root(lambda a: a + (k - 1) * (1.0 - a) * math.log1p(-a), 0.0, 1.0)
+
+
+def fixed_points(d: float, k: int) -> tuple[float, float, float]:
     """All fixed points of phi in [0, 1], as (alpha_u, alpha_s, alpha_f).
 
-    alpha = 0 is always a fixed point.  The up-to-two positive roots are
-    bracketed by sign changes of phi(a) - a on a uniform grid and then
-    bisected.  Sub-critical densities report (0, 0, 0); a tangent double
-    root (d at the critical density) reports alpha_s = alpha_f at the
-    minimizer of |phi(a) - a|.
+    alpha = 0 is always a fixed point, and a in (0, 1) is one exactly when
+    d = d(a).  d(a) falls from infinity to d_k^* = d(alpha_c) and rises
+    back to infinity, so above d_k^* there is one positive root on each
+    side of alpha_c.  Sub-critical densities report (0, 0, 0), and d_k^*
+    itself the double root (0, alpha_c, alpha_c).
     """
     _check_box(d, k)
-
-    def g(a: float) -> float:
-        return phi(d, k, a) - a
-
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
-    vals = 1.0 - np.exp(-d * grid ** (k - 1)) - grid
-    roots = [
-        float(grid[i]) if vals[i] == 0 else _bisect(g, float(grid[i]), float(grid[i + 1]), tol)
-        for i in _bracket_starts(vals).tolist()
-    ]
-    if vals[-1] == 0:
-        roots.append(1.0)
-    roots = [r for r in roots if r > tol]
-
-    if len(roots) >= 2:
-        return (0.0, roots[0], roots[-1])
-    if len(roots) == 1:
-        # a tangent double root hit near-exactly by the grid
-        return (0.0, roots[0], roots[0])
-
-    # No sign change: either sub-critical or a tangency between grid points;
-    # refine the interior maximizer of g by ternary search.  Positive fixed
-    # points satisfy a >= d^(-1/(k-2)) >= 0.05 inside the parameter box, so
-    # a neighborhood of the trivial root a = 0 (where g -> 0 as well) is
-    # excluded from the search.
-    lo_idx = int(0.02 * _GRID_POINTS)
-    interior = vals[lo_idx:-1]
-    i_max = int(np.argmax(interior)) + lo_idx
-    lo = float(grid[max(i_max - 1, 0)])
-    hi = float(grid[min(i_max + 1, _GRID_POINTS)])
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if g(m1) < g(m2):
-            lo = m1
-        else:
-            hi = m2
-        if hi - lo <= tol:
-            break
-    a_star = 0.5 * (lo + hi)
-    g_star = g(a_star)
-    if g_star > 0:
-        # the grid straddled a pair of roots around a_star: bisect both sides
-        left = _bisect(g, tol, a_star, tol)
-        right = _bisect(g, a_star, 1.0, tol)
-        return (0.0, left, right)
-    if abs(g_star) <= 1e-8:
-        return (0.0, a_star, a_star)
-    return (0.0, 0.0, 0.0)
+    a_c = _critical_alpha(k)
+    d_star = _density_at(k, a_c)
+    if d < d_star:
+        return (0.0, 0.0, 0.0)
+    if d == d_star:
+        return (0.0, a_c, a_c)
+    return (
+        0.0,
+        _root(lambda a: d - _density_at(k, a), 0.0, a_c),
+        _root(lambda a: _density_at(k, a) - d, a_c, 1.0),
+    )
 
 
-def _sup_positive_phi(d: float, k: int) -> float:
-    """max Phi over the positive fixed points and the endpoint alpha = 1."""
-    _, a_s, a_f = fixed_points(d, k)
-    cands = [Phi(d, k, 1.0)]
-    if a_f > 0:
-        cands.append(Phi(d, k, a_f))
-    if a_s > 0:
-        cands.append(Phi(d, k, a_s))
-    return max(cands)
-
-
-def threshold_dk(k: int, tol: float = 1e-9) -> float:
+def threshold_dk(k: int) -> float:
     """The full-rank threshold density d_k.
 
-    Bisection on the predicate "the maximum of Phi over (0, 1] exceeds
-    Phi(0)"; the inner maximum is attained at a stationary point (a
-    fixed point of phi) or at alpha = 1.
+    Phi rises only on (alpha_s, alpha_f), so its maximum over (0, 1] sits
+    at alpha_f.  At d = d(a) the gap Phi(a) - Phi(0) is
+    -a - (1 - (k-1)a/k) ln(1-a): negative at alpha_c, unbounded as a -> 1,
+    and increasing in d along alpha_f (its d-derivative is a^k / k).  So
+    d_k is d(a) at the one root of the gap in (alpha_c, 1).
     """
     _check_box(1.0, k)
-
-    def above(d: float) -> bool:
-        return _sup_positive_phi(d, k) > Phi(d, k, 0.0)
-
-    lo, hi = threshold_dk_star(k, tol), float(k)
-    if above(lo) or not above(hi):  # pragma: no cover - sanity guard
-        raise RuntimeError("threshold bracket failed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    a = _root(lambda a: -a - (1.0 - (k - 1) * a / k) * math.log1p(-a), _critical_alpha(k), 1.0)
+    return _density_at(k, a)
 
 
-def threshold_dk_star(k: int, tol: float = 1e-9) -> float:
-    """The critical density where a positive fixed point first appears."""
+def threshold_dk_star(k: int) -> float:
+    """The critical density d_k^* = min d(a), where a positive fixed point first appears."""
     _check_box(1.0, k)
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS + 1)[1:-1]
-
-    def has_positive(d: float) -> bool:
-        vals = 1.0 - np.exp(-d * grid ** (k - 1)) - grid
-        return bool(np.max(vals) > 0)
-
-    lo, hi = 0.05, float(k)
-    if has_positive(lo) or not has_positive(hi):  # pragma: no cover
-        raise RuntimeError("critical-density bracket failed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if has_positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _density_at(k, _critical_alpha(k))
 
 
 @dataclass(frozen=True)

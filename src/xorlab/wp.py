@@ -400,15 +400,22 @@ def extension_defect(G: TannerGraph, lab: Labels, sigma, q: int) -> float:
         raise ValueError("sigma length must equal the number of variables")
     non_u = lab.var_label != LABEL_U
     first = int(np.sum(non_u & (sigma != 0)))
-    second = 0.0
-    u_mask = ~non_u
-    for deg in np.unique(G.var_degree[u_mask]):
-        sel = u_mask & (G.var_degree == deg)
-        n_sel = int(sel.sum())
+    return first + degree_imbalance(sigma, G.var_degree, ~non_u, q)
+
+
+def degree_imbalance(sigma: np.ndarray, degree: np.ndarray, mask: np.ndarray, q: int) -> float:
+    """Sum of |#{sigma = s} - size / q| over nonzero s and the degree classes of ``mask``.
+
+    The terms of one degree class are summed first, then the classes in
+    increasing degree.
+    """
+    total = 0.0
+    for deg in np.unique(degree[mask]):
+        sel = mask & (degree == deg)
+        n_sel = sel.sum()
         counts = np.bincount(sigma[sel], minlength=q)
-        for s in range(1, q):
-            second += abs(counts[s] - n_sel / q)
-    return first + second
+        total += sum(abs(counts[s] - n_sel / q) for s in range(1, q))
+    return total
 
 
 def is_extension(G: TannerGraph, lab: Labels, sigma, q: int, tol: float = 0.1) -> bool:

@@ -273,23 +273,6 @@ def reference_stack_rows(A, extra_rows):
     return A.rows + tuple(tuple((int(c), int(v)) for c, v in row) for row in extra_rows)
 
 
-# -- root bracketing of theory.fixed_points --------------------------------------
-
-
-def loop_bracket_starts(vals) -> list[int]:
-    """Grid indices where ``fixed_points`` starts a root, by a plain sign walk.
-
-    Interior index i counts when vals[i] is zero, or when the sign
-    changes from i to i + 1 and vals[i + 1] is not zero.
-    """
-    sign = np.sign(vals).tolist()
-    out = []
-    for i, (s, nxt) in enumerate(zip(sign[1:-1], sign[2:]), start=1):
-        if s == 0 or (s != nxt and nxt != 0):
-            out.append(i)
-    return out
-
-
 # -- per-minor standard messages and per-vector kernel samples -------------------
 
 

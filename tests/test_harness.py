@@ -11,7 +11,6 @@ from xorlab.harness import (
     BracketError,
     ConfigError,
     ExperimentConfig,
-    Tolerances,
     derive_rng,
     exp_balance,
     exp_freeness_audit,
@@ -50,7 +49,6 @@ def test_config_roundtrip():
     cfg = small_config(
         d_grid=[1.0, 2.0],
         theta_grid=[0.0, 1.0],
-        tolerances=Tolerances(0.2, 0.15, 0.01),
         scheme={"kind": "seeded_nonzero", "seed": 3},
         out="somewhere",
     )
@@ -361,9 +359,9 @@ def test_cli_outside_field_or_theory_exit_2(tmp_path, capsys, override, message)
         ({"trials": True}, "trials must be int, got True"),
         ({"n": "50"}, "n must be int, got '50'"),
         ({"experiment": "threshold-scan", "bracket": [0.9]}, "bracket must be tuple[float, float]"),
-        ({"tolerances": {"tol_fp": None}}, "tol_fp must be float, got None"),
+        ({"tolerances": {"tol_fp": 0.1}}, "unknown config key(s): tolerances"),
     ],
-    ids=["trials-float", "trials-bool", "n-string", "bracket-one-value", "tolerance-null"],
+    ids=["trials-float", "trials-bool", "n-string", "bracket-one-value", "tolerances-unknown"],
 )
 def test_cli_wrong_type_exit_2(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, **override)

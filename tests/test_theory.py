@@ -9,6 +9,7 @@ from xorlab.field import build_field
 from xorlab.sparsemat import BudgetExceededError
 from xorlab.theory import (
     F,
+    K_MAX,
     Phi,
     Phi_prime,
     Phi_second,
@@ -29,9 +30,6 @@ from xorlab.theory import (
     threshold_dk_star,
     threshold_report,
 )
-from xorlab import theory
-
-from tests.oracles import loop_bracket_starts
 
 
 # -- independent oracles ------------------------------------------------------
@@ -131,24 +129,20 @@ def test_subcritical_all_zero():
 
 
 def test_supercritical_residuals():
-    for d, k in [(2.9, 3), (2.5, 3), (3.3, 3), (3.5, 4)]:
-        a_u, a_s, a_f = fixed_points(d, k)
-        assert 0.0 == a_u < a_s < a_f < 1.0
-        for a in (a_s, a_f):
-            assert abs(phi(d, k, a) - a) <= 1e-10
-            assert abs(Phi_prime(d, k, a)) <= 1e-6
+    for k in range(3, K_MAX + 1):
+        for d in np.linspace(1.001 * threshold_dk_star(k), 20.0, 50).tolist():
+            a_u, a_s, a_f = fixed_points(d, k)
+            assert 0.0 == a_u < a_s < a_f < 1.0, (d, k)
+            for a in (a_s, a_f):
+                assert abs(phi(d, k, a) - a) <= 1e-14, (d, k, a)
+                assert abs(Phi_prime(d, k, a)) <= 1e-6, (d, k, a)
 
 
-def test_bracket_starts_match_sign_walk():
-    grid = np.linspace(0.0, 1.0, theory._GRID_POINTS + 1)
-    for k in range(3, 17):
-        for d in np.linspace(0.05, 20.0, 400):
-            vals = 1.0 - np.exp(-d * grid ** (k - 1)) - grid
-            assert theory._bracket_starts(vals).tolist() == loop_bracket_starts(vals), (d, k)
-    rng = np.random.default_rng(8)  # exact zeros, which the grid above rarely hits
-    for _ in range(300):
-        vals = rng.integers(-1, 2, size=int(rng.integers(2, 30))).astype(float)
-        assert theory._bracket_starts(vals).tolist() == loop_bracket_starts(vals)
+@pytest.mark.parametrize("k", range(3, K_MAX + 1))
+def test_positive_fixed_points_appear_at_dk_star(k):
+    dstar = threshold_dk_star(k)
+    assert fixed_points(dstar * (1 - 1e-9), k) == (0.0, 0.0, 0.0)
+    assert fixed_points(dstar * (1 + 1e-9), k)[2] > 0.0
 
 
 def test_fixed_points_sorted_and_stationary():
@@ -169,18 +163,15 @@ def test_double_root_near_critical():
 # -- thresholds ---------------------------------------------------------------
 
 
-def test_threshold_k3_against_dense_grid_oracle():
+def test_threshold_k3_value():
     dk = threshold_dk(3)
     assert abs(dk / 3 - 0.91794) <= 1e-4
-    oracle = dense_grid_dk(3)
-    assert abs(dk - oracle) <= 1e-4
     assert 0.9175 <= dk / 3 <= 0.9184
 
 
-def test_threshold_k4_against_dense_grid_oracle():
-    dk = threshold_dk(4)
-    oracle = dense_grid_dk(4)
-    assert abs(dk - oracle) <= 1e-4
+@pytest.mark.parametrize("k", range(3, K_MAX + 1))
+def test_threshold_against_dense_grid_oracle(k):
+    assert abs(threshold_dk(k) - dense_grid_dk(k)) <= 1e-5
 
 
 def test_dk_star_below_dk():

@@ -339,10 +339,28 @@ def test_message_csv_and_stats_json():
         assert z in "usf" and len(ell.split("-")) == 4
 
 
-def test_warning_propagation_demo_runs():
+def run_demo(name: str) -> str:
+    """The stdout of ``demos/<name>.py``, run in a subprocess on this checkout's sources."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, str(root / "demos" / "05_warning_propagation.py")],
+    proc = subprocess.run([sys.executable, str(root / "demos" / f"{name}.py")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "exact standard messages" in proc.stdout
+    return proc.stdout
+
+
+def test_warning_propagation_demo_runs():
+    assert "exact standard messages" in run_demo("05_warning_propagation")
+
+
+# a line each demo prints; demos 03, 06 and 07 take seconds each and stay out of the suite
+DEMO_OUTPUT = {
+    "01_field_arithmetic": "Frobenius in GF(9)",
+    "02_threshold_theory": "global max at alpha_f",
+    "04_two_core_peeling": "core appears at d_k* = 2.4554",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_OUTPUT))
+def test_demo_runs(demo):
+    assert DEMO_OUTPUT[demo] in run_demo(demo)
