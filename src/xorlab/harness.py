@@ -45,7 +45,6 @@ from xorlab.field import build_field
 from xorlab.peel import has_full_row_rank, rank_via_core, two_core
 from xorlab.sparsemat import (
     balance_distance,
-    frozen_set,
     freeness_audit,
     kernel_basis,
     rank,
@@ -353,7 +352,7 @@ def _flat(by_point: list[list]) -> list:
 def _measure_rank(config, d, rng):
     params = config.ensemble(d=d)
     peel = two_core(gen_base(params, rng))
-    rk = len(peel.removed_rows) + rank(peel.core.matrix)
+    rk = peel.rank()
     return params, {
         "rank": rk,
         "nullity": params.n - rk,
@@ -448,11 +447,11 @@ def _measure_wp(config, alpha_th, rng):
     d, k, n = params.density, params.k, params.n
     if config.wp_mode == "exact":
         msgs = standard_messages(A)
-        exact_frozen = frozen_set(A)
+        exact_frozen = set(np.flatnonzero(msgs.frozen).tolist())
         alpha_hat = len(exact_frozen) / n
         lab = labels(G, msgs)
         by_labels = {j for j in range(n) if lab.var_label[j] != LABEL_U}
-        symdiff = len(by_labels ^ set(exact_frozen))
+        symdiff = len(by_labels ^ exact_frozen)
         iters = 0
     else:
         msgs, converged, iters = wp_iterate(G, "all_f")

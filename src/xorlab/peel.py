@@ -13,6 +13,12 @@ independent of the remaining ones, so
     rank(A) = number of removed rows + rank(core),
 
 and a core with more rows than columns certifies rank(A) < n_rows.
+
+Before the core is eliminated, the doubleton step of structured Gaussian
+elimination (LaMacchia & Odlyzko, CRYPTO '90) shrinks it further: a
+column c of degree 2 with rows a < b is cleared from b by the invertible
+row operation b <- b - (b_c / a_c) a, after which c has degree 1 and
+peels with row a.  Each deleted row again adds exactly 1 to the rank.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ class PeelResult:
     @property
     def excess(self) -> int:
         return self.core_rows - self.core_cols
+
+    def rank(self) -> int:
+        """rank(A): the peeled rows, the core rows merged away, and the rank of the rest."""
+        deleted, R = _reduce(self.core.matrix)
+        return len(self.removed_rows) + deleted + rank(R)
 
 
 def two_core(A: SparseMatrix) -> PeelResult:
@@ -79,19 +90,68 @@ def two_core(A: SparseMatrix) -> PeelResult:
     return PeelResult(core, tuple(removed_cols), tuple(removed_rows))
 
 
-def core_excess(A: SparseMatrix) -> int:
-    """core rows minus core columns; positive certifies rank(A) < n_rows."""
-    return two_core(A).excess
+# longest row a merge may leave; longer rows would fill in the matrix
+_MERGE_CAP = 16
+
+
+def _reduce(M: SparseMatrix) -> tuple[int, SparseMatrix]:
+    """Peel and merge M down to R with rank(M) = deleted + rank(R).
+
+    Columns of degree <= 2 wait on a worklist.  Degree 0: the column
+    goes.  Degree 1: it goes with its row.  Degree 2 with rows a < b:
+    unless the merged row could exceed ``_MERGE_CAP`` entries, b becomes
+    b - (b_c / a_c) a and row a and column c go.  R keeps the surviving
+    rows and the columns that still have an entry, in their order in M.
+    """
+    f = M.field
+    ptr, cols, vals = M.indptr.tolist(), M.cols.tolist(), M.vals.tolist()
+    rows: list[dict | None] = [dict(zip(cols[s:e], vals[s:e])) for s, e in zip(ptr, ptr[1:])]
+    col_rows: list[set[int]] = [set() for _ in range(M.n_cols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(i)
+    work = [c for c in range(M.n_cols) if len(col_rows[c]) <= 2]
+    deleted = 0
+    while work:
+        c = work.pop()
+        if len(col_rows[c]) == 2:
+            a, b = sorted(col_rows[c])
+            ra, rb = rows[a], rows[b]
+            if len(ra) + len(rb) - 2 > _MERGE_CAP:
+                continue
+            factor = f.mul(rb[c], f.inv(ra[c]))
+            for j, v in ra.items():
+                new = f.sub(rb.get(j, 0), f.mul(factor, v))
+                if new:
+                    rb[j] = new
+                    col_rows[j].add(b)
+                elif j in rb:
+                    del rb[j]
+                    col_rows[j].discard(b)
+        if len(col_rows[c]) == 1:
+            (a,) = col_rows[c]
+            for j in rows[a]:
+                col_rows[j].discard(a)
+                if len(col_rows[j]) <= 2:
+                    work.append(j)
+            rows[a] = None
+            deleted += 1
+    kept = [sorted(row.items()) for row in rows if row is not None]
+    col_keep = np.array([bool(rs) for rs in col_rows], dtype=bool)
+    pairs = np.array([e for row in kept for e in row], dtype=np.int64).reshape(-1, 2)
+    R = SparseMatrix(f, int(col_keep.sum()),
+                     np.append(0, np.cumsum([len(row) for row in kept], dtype=np.int64)),
+                     (np.cumsum(col_keep) - 1)[pairs[:, 0]], pairs[:, 1])
+    return deleted, R
 
 
 def rank_via_core(A: SparseMatrix) -> int:
     """Exact rank computed as removed rows plus the rank of the core.
 
     Equivalent to eliminating A directly, but much cheaper when peeling
-    removes a large fraction of the matrix.
+    and merging remove a large fraction of the matrix.
     """
-    res = two_core(A)
-    return len(res.removed_rows) + rank(res.core.matrix)
+    return two_core(A).rank()
 
 
 def has_full_row_rank(A: SparseMatrix) -> bool:
@@ -105,4 +165,4 @@ def has_full_row_rank(A: SparseMatrix) -> bool:
         return False
     if res.core_rows == 0:
         return True
-    return rank(res.core.matrix) == res.core_rows
+    return res.rank() == A.n_rows

@@ -63,10 +63,15 @@ class TannerGraph:
 
 @dataclass
 class MessageSet:
-    """Boolean message tables over the directed edges (True = frozen)."""
+    """Boolean message tables over the directed edges (True = frozen).
+
+    ``frozen`` is the exact (n_cols,) frozen-variable mask, set only by
+    :func:`standard_messages`; equality ignores it.
+    """
 
     var_to_check: np.ndarray
     check_to_var: np.ndarray
+    frozen: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,8 +117,9 @@ def standard_messages(A: SparseMatrix, *, budget: int = STANDARD_BUDGET) -> Mess
       span(e_j) is nonzero at i and zero on those rows, which one small
       elimination per variable decides.
 
-    The guard refuses when (rows + edges) * rows * cols exceeds the
-    budget.
+    The same elimination gives the frozen set of A itself, returned as
+    the result's ``frozen`` mask.  The guard refuses when
+    (rows + edges) * rows * cols exceeds the budget.
     """
     G = TannerGraph(A)
     cost = (A.n_rows + G.n_edges + 1) * max(A.n_rows, 1) * max(A.n_cols, 1)
@@ -144,7 +150,7 @@ def standard_messages(A: SparseMatrix, *, budget: int = STANDARD_BUDGET) -> Mess
             W = np.vstack([W, aug.transform[rep[j], checks[edges]]])
         if W.any():
             cv[edges] = ~augmented_rref(SparseMatrix.from_dense(A.field, W.T)).redundant_rows
-    return MessageSet(vc, cv)
+    return MessageSet(vc, cv, rep >= 0)
 
 
 def wp_update(G: TannerGraph, msgs: MessageSet) -> MessageSet:

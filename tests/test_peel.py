@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from xorlab.ensemble import EnsembleParams, gen_base
+from xorlab.ensemble import AllOnes, EnsembleParams, SeededNonzero, gen_base, gen_interpolated
 from xorlab.field import build_field
-from xorlab.peel import core_excess, has_full_row_rank, rank_via_core, two_core
+from xorlab.peel import _MERGE_CAP, _reduce, has_full_row_rank, rank_via_core, two_core
 from xorlab.sparsemat import SparseMatrix, rank
 from xorlab.theory import threshold_dk_star
 
@@ -73,7 +75,7 @@ def test_degree_zero_column_removed_without_row():
 
 
 def test_excess_empty_core_is_zero():
-    assert core_excess(SparseMatrix.identity(GF2, 3)) == 0
+    assert two_core(SparseMatrix.identity(GF2, 3)).excess == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -95,8 +97,104 @@ def test_rank_via_core_matches_direct_rank():
         f = build_field(q)
         for trial in range(15):
             A = random_sparse(f, int(rng.integers(1, 15)), int(rng.integers(2, 15)), rng, density=0.25)
-            assert rank_via_core(A) == rank(A)
-            assert has_full_row_rank(A) == (rank(A) == A.n_rows)
+            check_reduction(A)
+
+
+def column_degrees(M):
+    return np.bincount(M.cols, minlength=M.n_cols)
+
+
+def row_lengths(M):
+    return np.diff(M.indptr)
+
+
+def check_reduction(A):
+    """rank through the merges equals direct elimination; R is peeled and capped."""
+    deleted, R = _reduce(A)
+    rk = rank(A)
+    assert deleted + rank(R) == rk
+    assert rank_via_core(A) == rk
+    assert has_full_row_rank(A) == (rk == A.n_rows)
+    assert R.n_rows == A.n_rows - deleted
+    assert np.all(column_degrees(R) >= 2)  # nothing left to peel
+    assert row_lengths(R).max(initial=0) <= max(_MERGE_CAP, row_lengths(A).max(initial=0))
+    return deleted, R
+
+
+def test_reduction_matches_direct_rank_on_the_ensemble():
+    rng = np.random.default_rng(20)
+    merged = 0
+    for trial in range(600):
+        q = (2, 3, 4, 5, 9)[trial % 5]
+        n = round(math.exp(rng.uniform(math.log(10), math.log(200))))  # log-uniform: most are small
+        k = int(rng.integers(3, 6))
+        m = round(n * float(rng.uniform(0.6, 1.1)))
+        scheme = SeededNonzero(trial) if trial % 2 else AllOnes()
+        p = EnsembleParams(n=n, k=k, q=q, m=m, scheme=scheme, seed=trial)
+        deleted, _ = check_reduction(gen_base(p, p.make_rng()))
+        merged += deleted > 0
+    assert merged > 300  # most instances are reduced, not only checked
+
+
+def test_reduction_of_empty_matrices():
+    for shape in [(0, 0), (0, 4), (3, 0), (3, 4)]:
+        A = SparseMatrix.zero(GF2, *shape)
+        deleted, R = check_reduction(A)
+        assert deleted == 0 and R.n_rows == shape[0] and R.n_cols == 0
+
+
+def test_merging_a_duplicated_row_leaves_a_zero_row():
+    A = mat([[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 1), (2, 1)]], 4)
+    deleted, R = check_reduction(A)
+    assert deleted == 1 and (R.n_rows, R.n_cols, R.nnz) == (1, 0, 0)
+
+
+def test_merging_twice_a_row_over_gf3_leaves_a_zero_row():
+    A = SparseMatrix.from_rows(build_field(3), 2, [[(0, 1), (1, 1)], [(0, 2), (1, 2)]])
+    deleted, R = check_reduction(A)
+    assert deleted == 1 and (R.n_rows, R.n_cols, R.nnz) == (1, 0, 0)
+
+
+def capped_chain(s):
+    """Rows a = {0} + S0 and b = {0} + S1 with |S0| + |S1| = s; two rows over
+    S0 + S1 keep every other column at degree 3, so column 0 is the only
+    candidate and merging it leaves a row of s entries."""
+    S0, S1 = range(1, s // 2 + 1), range(s // 2 + 1, s + 1)
+    rest = [(j, 1) for j in [*S0, *S1]]
+    return mat([[(0, 1), *((j, 1) for j in S0)], [(0, 1), *((j, 1) for j in S1)], rest, rest],
+               s + 1)
+
+
+def test_merge_up_to_the_cap():
+    deleted, R = check_reduction(capped_chain(_MERGE_CAP))
+    assert deleted == 1 and R.n_rows == 3 and row_lengths(R).tolist() == [_MERGE_CAP] * 3
+
+
+def test_merge_past_the_cap_is_skipped():
+    A = capped_chain(_MERGE_CAP + 1)
+    deleted, R = check_reduction(A)
+    assert deleted == 0 and R == A
+
+
+def test_reduction_with_unary_rows():
+    A = mat([[(0, 1)], [(0, 1), (1, 1), (2, 1)], [(0, 1)], [(1, 1), (2, 1), (3, 1)],
+             [(2, 1), (3, 1)], [(1, 1), (3, 1)]], 4)
+    check_reduction(A)
+    for trial in range(40):
+        q = (2, 3, 4, 5, 9)[trial % 5]
+        p = EnsembleParams(n=60, k=3, q=q, d=2.8, scheme=SeededNonzero(trial), seed=trial)
+        check_reduction(gen_interpolated(p, 0.5, 0.8, np.random.default_rng(trial)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_reduction_matches_core_rank_at_n5000(q):
+    for rho in (0.90, 0.915):
+        p = EnsembleParams(n=5000, k=3, q=q, m=round(rho * 5000), seed=q)
+        A = gen_base(p, p.make_rng())
+        res = two_core(A)
+        rk = len(res.removed_rows) + rank(res.core.matrix)
+        assert rank_via_core(A) == rk
+        assert has_full_row_rank(A) == (rk == A.n_rows)
 
 
 def test_positive_excess_implies_rank_deficiency():
@@ -106,7 +204,7 @@ def test_positive_excess_implies_rank_deficiency():
         n = int(rng.integers(5, 40))
         p = EnsembleParams(n=n, k=3, q=2, d=float(rng.uniform(2.5, 4.5)), seed=1000 + trial)
         A = gen_base(p, p.make_rng())
-        if core_excess(A) > 0:
+        if two_core(A).excess > 0:
             found += 1
             assert rank(A) < A.n_rows
     assert found > 0  # the regime above d_k produces positive excess

@@ -101,7 +101,9 @@ def test_standard_messages_match_reference_on_pinned_instances():
         p = EnsembleParams(n=n, k=3, q=q, d=float(rng.uniform(0.5, 3.5)),
                            scheme=SeededNonzero(trial), seed=trial)
         A, _ = gen_pinned(p, np.random.default_rng(trial))
-        assert standard_messages(A) == reference_standard_messages(A), (q, n)
+        msgs = standard_messages(A)
+        assert msgs == reference_standard_messages(A), (q, n)
+        assert set(np.flatnonzero(msgs.frozen).tolist()) == frozen_set(A), (q, n)
 
 
 DENSE_CASES = {
@@ -125,7 +127,9 @@ def test_standard_messages_match_reference_on_dense_cases(q, case):
                       dtype=np.int64).reshape(dense.shape)
     for D in (dense, scaled):
         A = SparseMatrix.from_dense(f, D)
-        assert standard_messages(A) == reference_standard_messages(A)
+        msgs = standard_messages(A)
+        assert msgs == reference_standard_messages(A)
+        assert set(np.flatnonzero(msgs.frozen).tolist()) == frozen_set(A)
     if case == "full-column-rank":
         msgs = standard_messages(A)
         assert frozen_set(A) == {0, 1, 2} and msgs.var_to_check.any()
@@ -353,10 +357,11 @@ def test_warning_propagation_demo_runs():
     assert "exact standard messages" in run_demo("05_warning_propagation")
 
 
-# a line each demo prints; demos 03, 06 and 07 take seconds each and stay out of the suite
+# a line each demo prints; demos 06 and 07 take seconds each and stay out of the suite
 DEMO_OUTPUT = {
     "01_field_arithmetic": "Frobenius in GF(9)",
     "02_threshold_theory": "global max at alpha_f",
+    "03_rank_threshold_scan": "bisection scan for the crossing",
     "04_two_core_peeling": "core appears at d_k* = 2.4554",
 }
 
