@@ -151,6 +151,12 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.resolution <= 0:
+            raise ConfigError("resolution must be > 0")
+        if not self.bracket[0] < self.bracket[1]:
+            raise ConfigError("bracket must be (lo, hi) with lo < hi")
+        if self.kernel_samples < 1:
+            raise ConfigError("kernel_samples must be >= 1")
         try:
             build_field(self.q)
         except (TypeError, ValueError) as exc:
@@ -447,11 +453,8 @@ def _measure_wp(config, alpha_th, rng):
     d, k, n = params.density, params.k, params.n
     if config.wp_mode == "exact":
         msgs = standard_messages(A)
-        exact_frozen = set(np.flatnonzero(msgs.frozen).tolist())
-        alpha_hat = len(exact_frozen) / n
-        lab = labels(G, msgs)
-        by_labels = {j for j in range(n) if lab.var_label[j] != LABEL_U}
-        symdiff = len(by_labels ^ exact_frozen)
+        alpha_hat = float(msgs.frozen.mean())
+        symdiff = int(np.count_nonzero((labels(G, msgs).var_label != LABEL_U) != msgs.frozen))
         iters = 0
     else:
         msgs, converged, iters = wp_iterate(G, "all_f")

@@ -3,9 +3,9 @@
 The process repeatedly removes a column with at most one nonzero entry,
 together with its row when it has one, until every remaining column has
 degree >= 2.  The surviving minor (the "core") is independent of the
-removal order; the implementation uses the canonical deterministic
-order (smallest-index eligible column first) with a pending heap, O(nnz)
-overall.
+removal order, so peeling runs in array rounds: each round counts the
+live entries per column and removes every column of degree <= 1 at
+once, with the live row of each degree-1 column.
 
 Each (column, row) removal step peels a row that is linearly
 independent of the remaining ones, so
@@ -23,7 +23,6 @@ peels with row a.  Each deleted row again adds exactly 1 to the rank.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,11 @@ from xorlab.sparsemat import Minor, SparseMatrix, minor, rank
 
 @dataclass(frozen=True)
 class PeelResult:
-    """Core minor plus the ordered removal traces."""
+    """Core minor plus the removed rows and columns, in increasing order."""
 
     core: Minor
-    removed_cols: tuple[int, ...]  # in removal order
-    removed_rows: tuple[int, ...]  # in removal order (degree-0 columns add none)
+    removed_cols: tuple[int, ...]
+    removed_rows: tuple[int, ...]  # degree-0 columns remove no row
 
     @property
     def core_rows(self) -> int:
@@ -58,36 +57,23 @@ class PeelResult:
 
 
 def two_core(A: SparseMatrix) -> PeelResult:
-    """Peel degree-<=-1 columns (with their rows) until none remain."""
-    n = A.n_cols
-    col_count = np.bincount(A.cols, minlength=n)
-    degree = col_count.tolist()
-    col_ptr = np.append(0, np.cumsum(col_count)).tolist()
-    col_rows = A.entry_rows[np.argsort(A.cols, kind="stable")].tolist()
-    row_ptr, cols = A.indptr.tolist(), A.cols.tolist()
-    row_alive = [True] * A.n_rows
-    col_alive = [True] * n
-    heap = [j for j in range(n) if degree[j] <= 1]
-    heapq.heapify(heap)
-    removed_cols: list[int] = []
-    removed_rows: list[int] = []
-    while heap:
-        j = heapq.heappop(heap)
-        if not col_alive[j] or degree[j] > 1:
-            continue
-        col_alive[j] = False
-        removed_cols.append(j)
-        if degree[j] == 1:
-            i = next(r for r in col_rows[col_ptr[j] : col_ptr[j + 1]] if row_alive[r])
-            row_alive[i] = False
-            removed_rows.append(i)
-            for c in cols[row_ptr[i] : row_ptr[i + 1]]:
-                if col_alive[c]:
-                    degree[c] -= 1
-                    if degree[c] <= 1:
-                        heapq.heappush(heap, c)
+    """Peel degree-<=-1 columns (with their rows) in rounds until none remain."""
+    rows, cols = A.entry_rows, A.cols  # the live entries
+    row_alive = np.ones(A.n_rows, dtype=bool)
+    col_alive = np.ones(A.n_cols, dtype=bool)
+    while True:
+        peel = col_alive & (np.bincount(cols, minlength=A.n_cols) <= 1)
+        if not peel.any():
+            break
+        col_alive &= ~peel
+        row_alive[rows[peel[cols]]] = False
+        # a peeled column's one entry lies in a removed row, so every
+        # entry of a live row also lies in a live column
+        live = row_alive[rows]
+        rows, cols = rows[live], cols[live]
+    removed_rows, removed_cols = np.flatnonzero(~row_alive), np.flatnonzero(~col_alive)
     core = minor(A, removed_rows, removed_cols)
-    return PeelResult(core, tuple(removed_cols), tuple(removed_rows))
+    return PeelResult(core, tuple(removed_cols.tolist()), tuple(removed_rows.tolist()))
 
 
 # longest row a merge may leave; longer rows would fill in the matrix

@@ -309,47 +309,31 @@ def fixed_point_violations(G: TannerGraph, msgs: MessageSet) -> int:
 
 
 def stats_distance_by_label(
-    G: TannerGraph,
-    msgs: MessageSet,
-    alpha: float,
-    d: float,
-    k: int,
-    *,
-    cutoff: float = 1e-12,
+    G: TannerGraph, msgs: MessageSet, alpha: float, d: float, k: int
 ) -> dict[str, float]:
     """Per-label l1 distance between empirical and predicted statistics.
 
     For each label z sums |Delta - n Delta_bar(alpha)| + |Gamma -
     m Gamma_bar(alpha)| over the union of observed profiles and
-    predictions above the cutoff; m is the number of weight-k checks.
-    Unnormalized.
+    predictions of mass at least 1e-12; m is the number of weight-k
+    checks.  Unnormalized.
     """
     emp = stats(G, msgs, k)
     m = int(np.sum(G.check_degree == k))
-    return tables_distance_by_label(
-        emp.delta, emp.gamma, G.n_vars, m, alpha, d, k, cutoff=cutoff
-    )
+    return tables_distance_by_label(emp.delta, emp.gamma, G.n_vars, m, alpha, d, k)
 
 
 def tables_distance_by_label(
-    delta: dict,
-    gamma: dict,
-    n: float,
-    m: float,
-    alpha: float,
-    d: float,
-    k: int,
-    *,
-    cutoff: float = 1e-12,
+    delta: dict, gamma: dict, n: float, m: float, alpha: float, d: float, k: int
 ) -> dict[str, float]:
     """Per-label l1 distance of (label, profile) count tables from the prediction.
 
     Sums |delta - n Delta_bar(alpha)| + |gamma - m Gamma_bar(alpha)|
-    over the union of table keys and predictions above the cutoff.  The
-    union is visited in sorted order, so the float sums do not depend
-    on the interpreter's string hash seed.
+    over the union of table keys and predictions of mass at least
+    1e-12.  The union is visited in sorted order, so the float sums do
+    not depend on the interpreter's string hash seed.
     """
-    pred_var, pred_chk = theory.predicted_detail_tables(d, k, alpha, cutoff)
+    pred_var, pred_chk = theory.predicted_detail_tables(d, k, alpha)
     dist = {theory.U: 0.0, theory.S: 0.0, theory.F: 0.0}
     for emp, pred, size in ((delta, pred_var, n), (gamma, pred_chk, m)):
         for key in sorted(emp.keys() | pred.keys()):
@@ -357,17 +341,9 @@ def tables_distance_by_label(
     return dist
 
 
-def stats_distance(
-    G: TannerGraph,
-    msgs: MessageSet,
-    alpha: float,
-    d: float,
-    k: int,
-    *,
-    cutoff: float = 1e-12,
-) -> float:
+def stats_distance(G: TannerGraph, msgs: MessageSet, alpha: float, d: float, k: int) -> float:
     """Total l1 statistics distance (sum of the per-label parts)."""
-    return sum(stats_distance_by_label(G, msgs, alpha, d, k, cutoff=cutoff).values())
+    return sum(stats_distance_by_label(G, msgs, alpha, d, k).values())
 
 
 def is_alpha_fixed_point(

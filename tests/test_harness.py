@@ -63,6 +63,14 @@ def test_config_validation():
         small_config(wp_mode="bogus")
     with pytest.raises(ConfigError):
         small_config(d_grid=[2.0, 1.0])
+    with pytest.raises(ConfigError, match="resolution"):
+        small_config(experiment="threshold-scan", resolution=-0.01)
+    with pytest.raises(ConfigError, match="bracket"):
+        small_config(experiment="threshold-scan", bracket=(1.2, 0.5))
+    with pytest.raises(ConfigError, match="bracket"):
+        small_config(experiment="threshold-scan", bracket=(0.9, 0.9))
+    with pytest.raises(ConfigError, match="kernel_samples"):
+        small_config(experiment="balance", kernel_samples=-5)
     with pytest.raises(ConfigError, match="trails"):
         ExperimentConfig.from_dict({"experiment": "peel", "trails": 3})
 
@@ -360,8 +368,10 @@ def test_cli_outside_field_or_theory_exit_2(tmp_path, capsys, override, message)
         ({"n": "50"}, "n must be int, got '50'"),
         ({"experiment": "threshold-scan", "bracket": [0.9]}, "bracket must be tuple[float, float]"),
         ({"tolerances": {"tol_fp": 0.1}}, "unknown config key(s): tolerances"),
+        ({"experiment": "balance", "kernel_samples": 0}, "kernel_samples must be >= 1"),
     ],
-    ids=["trials-float", "trials-bool", "n-string", "bracket-one-value", "tolerances-unknown"],
+    ids=["trials-float", "trials-bool", "n-string", "bracket-one-value", "tolerances-unknown",
+         "balance-kernel-samples-0"],
 )
 def test_cli_wrong_type_exit_2(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, **override)

@@ -89,6 +89,10 @@ def test_confluence_against_shuffled_order(q):
         res = two_core(A)
         det = (frozenset(res.core.kept_rows), frozenset(res.core.kept_cols))
         assert det == shuffled_order_core(A, rng)
+        for removed, kept, size in ((res.removed_rows, res.core.kept_rows, A.n_rows),
+                                    (res.removed_cols, res.core.kept_cols, A.n_cols)):
+            assert list(removed) == sorted(set(removed))  # strictly increasing
+            assert set(removed) == set(range(size)) - set(kept)
 
 
 def test_rank_via_core_matches_direct_rank():
